@@ -46,8 +46,6 @@ from .transforms import (
     InverseKernel,
     apply_fredholm,
     feedback_H,
-    feedback_H_via_theta,
-    feedback_riesz,
     inverse_kernel,
     invert_fredholm,
 )

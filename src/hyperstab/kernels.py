@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .system_model import Grid, HyperbolicSystem, Profile, phi_map
+from .system_model import Grid, HyperbolicSystem, PhiMap, Profile, phi_map
 
 __all__ = [
     "CascadeMatrix",
@@ -151,21 +151,35 @@ def eval_kernel(
     _check_pair(system.m, i, j)
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    scalar = x_arr.ndim == 0 and y_arr.ndim == 0
-    x_b, y_b = np.broadcast_arrays(np.atleast_1d(x_arr), np.atleast_1d(y_arr))
+    vals, _ = _closed_form(
+        system, g, i, j, np.atleast_1d(x_arr), np.atleast_1d(y_arr),
+        phi_map(system, i, grid), phi_map(system, j, grid),
+    )
+    shape = np.broadcast_shapes(x_arr.shape, y_arr.shape)
+    return vals.reshape(shape) if shape else float(vals[0])
 
-    pm_i = phi_map(system, i, grid)
-    pm_j = phi_map(system, j, grid)
-    s = pm_i(x_b) - pm_j(y_b)
+
+def _closed_form(
+    system: HyperbolicSystem,
+    g: CascadeMatrix,
+    i: int,
+    j: int,
+    x: np.ndarray,
+    y: np.ndarray,
+    pm_i: PhiMap,
+    pm_j: PhiMap,
+) -> tuple[np.ndarray, np.ndarray]:
+    """k_ij and its support indicator on broadcastable (x, y) arrays, from
+    the travel-time maps of components i and j."""
+    s = pm_i(x) - pm_j(y)
     support = s <= 0.0
     gij = g.entry(i, j)
     if gij is None:
-        vals = np.zeros_like(x_b)
+        vals = np.zeros(support.shape)
     else:
         arg = pm_i.inverse(np.where(support, s, 0.0))
-        vals = np.where(support, gij(arg) / (-system.speeds[j - 1](y_b)), 0.0)
-    vals = np.where((x_b == 0.0) & (y_b == 0.0), 0.0, vals)
-    return float(vals.reshape(-1)[0]) if scalar else vals.reshape(np.broadcast_shapes(x_arr.shape, y_arr.shape))
+        vals = np.where(support, gij(arg) / (-system.speeds[j - 1](y)), 0.0)
+    return np.where((x == 0.0) & (y == 0.0), 0.0, vals), support
 
 
 @dataclass(frozen=True)
@@ -202,17 +216,15 @@ class FredholmKernel:
 def build_kernel(system: HyperbolicSystem, g: CascadeMatrix, grid: Grid) -> FredholmKernel:
     """Tabulate every populated entry of the closed-form kernel on the grid."""
     x = grid.nodes
-    xx, yy = np.meshgrid(x, x, indexing="ij")
+    maps = {i: phi_map(system, i, grid) for i in range(1, system.m + 1)}
     tables: dict[tuple[int, int], np.ndarray] = {}
     masks: dict[tuple[int, int], np.ndarray] = {}
     for (i, j) in g.lower_pairs():
         if g.entry(i, j) is None:
             continue
-        pm_i = phi_map(system, i, grid)
-        pm_j = phi_map(system, j, grid)
-        support = pm_i(xx) - pm_j(yy) <= 0.0
-        tables[(i, j)] = eval_kernel(system, g, i, j, xx, yy, grid)
-        masks[(i, j)] = support
+        tables[(i, j)], masks[(i, j)] = _closed_form(
+            system, g, i, j, x[:, None], x[None, :], maps[i], maps[j]
+        )
     return FredholmKernel(system, g, grid, tables, masks)
 
 

@@ -249,7 +249,8 @@ class PhiMap:
 
     Node values come from the cumulative trapezoid of 1/lambda_i; between
     nodes the map is linear, which keeps it strictly decreasing whenever the
-    speed is sign-definite.
+    speed is sign-definite, so its inverse is linear interpolation of the
+    swapped node table.
     """
 
     nodes: np.ndarray
@@ -262,8 +263,8 @@ class PhiMap:
     def at_one(self) -> float:
         return float(self.values[-1])
 
-    def inverse(self, s, tol: float = 1e-12):
-        """Solve phi(x) = s by monotone bisection, to ``tol`` in x.
+    def inverse(self, s):
+        """Solve phi(x) = s exactly on the piecewise-linear map.
 
         Raises :class:`PhiRangeError` when ``s`` leaves [phi(1), 0]; callers
         that tabulate kernels use that signal (or a prior support test) to
@@ -275,17 +276,7 @@ class PhiMap:
             raise PhiRangeError(
                 f"travel-time coordinate outside [{self.at_one:g}, 0]"
             )
-        s_clipped = np.clip(s_arr, self.at_one, 0.0)
-        lo = np.zeros_like(s_clipped)
-        hi = np.ones_like(s_clipped)
-        # phi decreasing: keep phi(lo) >= s >= phi(hi); 48 halvings put the
-        # bracket width near 3.6e-15, below the requested tolerance.
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            ge = self(mid) >= s_clipped
-            lo = np.where(ge, mid, lo)
-            hi = np.where(ge, hi, mid)
-        out = 0.5 * (lo + hi)
+        out = np.interp(np.clip(s_arr, self.at_one, 0.0), self.values[::-1], self.nodes[::-1])
         return out if s_arr.ndim else float(out)
 
 
@@ -310,7 +301,7 @@ def phi(system: HyperbolicSystem, i: int, x, grid: Grid):
 
 
 def phi_inverse(system: HyperbolicSystem, i: int, s, grid: Grid):
-    """Position x with phi_i(x) = s, by bisection to 1e-12 in x."""
+    """Position x with phi_i(x) = s, exact on the piecewise-linear map."""
     return phi_map(system, i, grid).inverse(s)
 
 

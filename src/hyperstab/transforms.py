@@ -8,10 +8,16 @@ block-triangular, so the inverse is exact forward substitution, no
 conditioning argument needed, and the inverse kernel has the same cascade
 shape with entries recoverable column-by-column from sampled impulses.
 
-Feedback variants: ``zero``; ``riesz`` (node tables f_ij integrated against
-the full state); ``fredholm`` (minus the kernel trace at x = 1 integrated
-against the inverse-transformed left block), the one that realizes the
-optimal vanishing time.
+Every non-zero boundary feedback is one weight table W of shape
+(m, n, nodes), with the trapezoid weights folded in, applied as
+U_i = sum_jk W_ijk u_j(x_k).  ``zero`` has no table; ``riesz`` multiplies loaded node tables by the
+trapezoid weights; ``fredholm``, the law that realizes the optimal vanishing
+time, is minus the kernel trace at x = 1 integrated against the
+inverse-transformed state.  Because the inverse is linear, that law is
+compiled once: its x = 1 rows are back-substituted through the transposed
+block-triangular transform, O(pairs m N^2) once, after which each step costs
+one O(m n N) contraction.  :func:`feedback_H` keeps the uncompiled route
+(forward substitution, then the trace integral) as the reference.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ __all__ = [
     "invert_fredholm",
     "inverse_kernel",
     "feedback_H",
-    "feedback_H_via_theta",
-    "feedback_riesz",
 ]
 
 
@@ -115,12 +119,7 @@ def inverse_kernel(op: IntegralOperator) -> InverseKernel:
     for j in range(1, m):
         batch = np.zeros((m, nn, nn))
         batch[j - 1] = np.eye(nn)
-        out = batch.copy()
-        for i in range(2, m + 1):
-            for jj in range(1, i):
-                kw = op.weighted.get((i, jj))
-                if kw is not None:
-                    out[i - 1] += kw @ out[jj - 1]
+        out = op._invert_data(batch)
         for i in range(j + 1, m + 1):
             theta = -out[i - 1] / w[None, :]
             if np.any(theta):
@@ -130,25 +129,28 @@ def inverse_kernel(op: IntegralOperator) -> InverseKernel:
 
 @dataclass(frozen=True)
 class FeedbackLaw:
-    """Boundary feedback for the left components at x = 1.
+    """Boundary feedback for the left components at x = 1, as one weight table.
 
-    Variants: ``zero``; ``riesz`` with square-integrable node tables of
-    shape (m, n, nodes); ``fredholm`` carrying the transform operator whose
-    kernel trace at x = 1 defines the optimal-time law.
+    Every non-zero law is a fixed linear functional of the current state,
+
+        U_i = sum_j sum_k weights[i, j, k] u_j(x_k),
+
+    with ``weights`` of shape (m, n, nodes) and the trapezoid weights already
+    folded in, so :meth:`evaluate` is one contraction per step.  ``zero``
+    carries no table.  ``riesz`` is loaded node tables f_ij times the
+    trapezoid weights.  ``fredholm`` is compiled once by :meth:`fredholm` and
+    keeps its operator, which :func:`feedback_H` uses as the reference route.
     """
 
     variant: str
-    riesz_tables: np.ndarray | None = None
+    weights: np.ndarray | None = None
     operator: IntegralOperator | None = None
-    grid: Grid | None = None
 
     def __post_init__(self):
         if self.variant not in ("zero", "riesz", "fredholm"):
             raise ValueError(f"unknown feedback variant {self.variant!r}")
-        if self.variant == "riesz" and (self.riesz_tables is None or self.grid is None):
-            raise ValueError("riesz feedback needs node tables and a grid")
-        if self.variant == "fredholm" and self.operator is None:
-            raise ValueError("fredholm feedback needs an integral operator")
+        if self.variant != "zero" and self.weights is None:
+            raise ValueError(f"{self.variant} feedback needs a weight table")
 
     @classmethod
     def zero(cls) -> "FeedbackLaw":
@@ -158,19 +160,39 @@ class FeedbackLaw:
     def riesz(cls, tables: np.ndarray, grid: Grid) -> "FeedbackLaw":
         tables = np.asarray(tables, dtype=float)
         if tables.ndim != 3 or tables.shape[2] != grid.n_nodes:
-            raise ValueError(f"riesz tables must be (m, n, {grid.n_nodes})")
-        return cls("riesz", riesz_tables=tables, grid=grid)
+            raise ValueError(f"riesz tables must be (m, n, {grid.n_nodes}), got {tables.shape}")
+        return cls("riesz", tables * grid.trapezoid_weights())
 
     @classmethod
     def fredholm(cls, operator: IntegralOperator) -> "FeedbackLaw":
-        return cls("fredholm", operator=operator, grid=operator.grid)
+        """Compile the optimal-time law into weights R with U = R gamma.
 
-    def evaluate(self, state: StateVector, m: int | None = None) -> np.ndarray:
-        if self.variant == "zero":
-            return np.zeros(m if m is not None else state.m)
-        if self.variant == "riesz":
-            return feedback_riesz(self, state)
-        return feedback_H(self, state)
+        The law is U = B z with B_ij = -(weighted k_ij)(1, .) and z = L^-1
+        gamma, L the unit lower block-triangular transform.  So R solves
+        R L = B, i.e. R = B + R W with W the weighted kernel blocks; column
+        block j needs only the blocks i > j, so it is back-substituted from
+        j = m down to 1.
+        """
+        m = operator.m
+        weights = np.zeros((m, operator.kernel.system.n, operator.grid.n_nodes))
+        for (i, j), kw in operator.weighted.items():
+            weights[i - 1, j - 1] = -kw[-1]
+        for j in range(m - 1, 0, -1):
+            for i in range(j + 1, m + 1):
+                kw = operator.weighted.get((i, j))
+                if kw is not None:
+                    weights[:, j - 1] += weights[:, i - 1] @ kw
+        return cls("fredholm", weights, operator)
+
+    def evaluate(self, state: StateVector) -> np.ndarray:
+        if self.weights is None:
+            return np.zeros(state.m)
+        if state.data.shape[1] != self.weights.shape[2]:
+            raise ValueError(
+                f"state grid N={state.grid.n_cells} does not match the feedback "
+                f"table's {self.weights.shape[2] - 1} cells"
+            )
+        return np.einsum("ijk,jk->i", self.weights, state.data)
 
 
 def feedback_H(law: FeedbackLaw, state: StateVector) -> np.ndarray:
@@ -178,6 +200,8 @@ def feedback_H(law: FeedbackLaw, state: StateVector) -> np.ndarray:
 
     Component i gets minus the trapezoid integral of k_ij(1, .) against the
     recovered lower components; component 1 has no kernel row and is 0.
+    This is the uncompiled route, kept as the reference that the compiled
+    :meth:`FeedbackLaw.fredholm` table is checked against.
     """
     if law.variant != "fredholm":
         raise ValueError(f"feedback_H needs the fredholm variant, got {law.variant!r}")
@@ -188,34 +212,3 @@ def feedback_H(law: FeedbackLaw, state: StateVector) -> np.ndarray:
     for (i, j), kw in op.weighted.items():
         out[i - 1] -= kw[-1, :] @ z[j - 1]
     return out
-
-
-def feedback_H_via_theta(
-    op: IntegralOperator, theta: InverseKernel, state: StateVector
-) -> np.ndarray:
-    """Same law, routed through a tabulated inverse kernel instead.
-
-    Applies the inverse transform as identity-minus-quadrature with the
-    theta tables, then integrates the x=1 kernel trace.  Kept alongside
-    :func:`feedback_H` so the two routes can be cross-checked.
-    """
-    op._check(state)
-    w = op.grid.trapezoid_weights()
-    z = state.data.copy()
-    for (i, j), tab in theta.tables.items():
-        z[i - 1] -= (tab * w[None, :]) @ state.data[j - 1]
-    out = np.zeros(op.m)
-    for (i, j), kw in op.weighted.items():
-        out[i - 1] -= kw[-1, :] @ z[j - 1]
-    return out
-
-
-def feedback_riesz(law: FeedbackLaw, state: StateVector) -> np.ndarray:
-    """Component i = sum_j trapezoid(f_ij u_j) over the full state."""
-    if law.variant != "riesz":
-        raise ValueError(f"feedback_riesz needs the riesz variant, got {law.variant!r}")
-    if state.grid.n_cells != law.grid.n_cells:
-        raise ValueError("state grid does not match the feedback tables")
-    w = state.grid.trapezoid_weights()
-    # (m, n, nodes) x (n, nodes) -> (m,)
-    return np.einsum("ijk,jk->i", law.riesz_tables, w[None, :] * state.data)

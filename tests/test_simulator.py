@@ -15,6 +15,7 @@ from hyperstab import (
     build_kernel,
     build_z_source,
     commutation_check,
+    feedback_H,
     gamma_source,
     naive_time,
     optimal_time,
@@ -195,6 +196,22 @@ class TestGammaTarget:
             g0, 3.0, grid, scheme="integer_shift", dt=grid.dx,
         )
         assert vanish_time(t_opt, 1e-2) < vanish_time(t_naive, 1e-2) - 0.3
+
+    def test_boundary_values_are_the_feedback(self, s3_system, s3_cascade):
+        # each step writes the law, evaluated on the previous snapshot, into
+        # the left components at x = 1
+        grid = Grid(200)
+        op = IntegralOperator.from_kernel(build_kernel(s3_system, s3_cascade, grid))
+        law = FeedbackLaw.fredholm(op)
+        traj = simulate(
+            ClosedLoopSpec.gamma_target(s3_system, gamma_source(s3_cascade), law),
+            random_state(grid, 3, 2, 5), 3.0, grid, scheme="integer_shift",
+            dt=grid.dx, snapshot_stride=1,
+        )
+        assert len(traj.snapshots) == len(traj.times)
+        for prev, nxt in zip(traj.snapshots, traj.snapshots[1:]):
+            assert np.array_equal(nxt.data[:2, -1], law.evaluate(prev))
+            assert np.max(np.abs(nxt.data[:2, -1] - feedback_H(law, prev))) <= 1e-14
 
     def test_naive_gap_with_component_one_data(self, s3_system, s3_cascade):
         # data concentrated in the first component: without feedback the

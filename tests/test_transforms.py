@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperstab import (
@@ -14,8 +14,6 @@ from hyperstab import (
     apply_fredholm,
     build_kernel,
     feedback_H,
-    feedback_H_via_theta,
-    feedback_riesz,
     inverse_kernel,
     invert_fredholm,
 )
@@ -100,6 +98,8 @@ class TestApplyInvert:
         z = random_state(Grid(32), 3, 2, 0)
         with pytest.raises(ValueError):
             apply_fredholm(op, z)
+        with pytest.raises(ValueError):
+            FeedbackLaw.fredholm(op).evaluate(z)
 
     def test_trace_preserved_exactly(self, s3_system, s3_cascade):
         op = s3_operator(s3_system, s3_cascade)
@@ -190,10 +190,18 @@ class TestFeedback:
     def test_both_routes_agree(self, s3_system, s3_cascade):
         op = s3_operator(s3_system, s3_cascade)
         theta = inverse_kernel(op)
+        w = op.grid.trapezoid_weights()
         for seed in range(4):
             gam = random_state(op.grid, 3, 2, seed + 20)
-            a = feedback_H(FeedbackLaw.fredholm(op), gam)
-            b = feedback_H_via_theta(op, theta, gam)
+            a = FeedbackLaw.fredholm(op).evaluate(gam)
+            # theta-table route: z = gamma - quadrature(theta gamma), then
+            # minus the x = 1 kernel trace integrated against z
+            z = gam.data.copy()
+            for (i, j), tab in theta.tables.items():
+                z[i - 1] -= (tab * w[None, :]) @ gam.data[j - 1]
+            b = np.zeros(op.m)
+            for (i, j), kw in op.weighted.items():
+                b[i - 1] -= kw[-1, :] @ z[j - 1]
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_boundary_identity_for_z_states(self, s3_system, s3_cascade):
@@ -214,12 +222,12 @@ class TestFeedback:
         with pytest.raises(ValueError):
             feedback_H(FeedbackLaw.zero(), state)
         with pytest.raises(ValueError):
-            feedback_riesz(FeedbackLaw.fredholm(op), state)
+            FeedbackLaw.riesz(np.zeros((2, 3, op.grid.n_nodes + 1)), op.grid)
 
     def test_riesz_zero_tables(self):
         grid = Grid(32)
         law = FeedbackLaw.riesz(np.zeros((2, 3, grid.n_nodes)), grid)
-        out = feedback_riesz(law, random_state(grid, 3, 2, 3))
+        out = law.evaluate(random_state(grid, 3, 2, 3))
         assert np.all(out == 0.0)
 
     def test_riesz_unit_integral(self):
@@ -230,7 +238,7 @@ class TestFeedback:
         state = StateVector(grid, 2, np.vstack(
             [np.ones(grid.n_nodes), np.zeros(grid.n_nodes), np.zeros(grid.n_nodes)]
         ))
-        out = feedback_riesz(law, state)
+        out = law.evaluate(state)
         assert out[0] == pytest.approx(1.0, abs=1e-14)
         assert out[1] == 0.0
 
@@ -241,5 +249,55 @@ class TestFeedback:
         law = FeedbackLaw.riesz(tables, grid)
         data = np.zeros((3, grid.n_nodes))
         data[1] = grid.nodes  # u_2(y) = y
-        out = feedback_riesz(law, StateVector(grid, 2, data))
+        out = law.evaluate(StateVector(grid, 2, data))
         assert abs(out[0] - 1.0 / 3.0) <= grid.dx**2
+
+
+@st.composite
+def cascade_systems(draw):
+    """Random (system, cascade, grid): n <= 6, constant or affine speeds kept
+    inside disjoint bands around -m..-1 and 1..n-m (so signed and strictly
+    ordered at every x), and a random subset of the cascade band."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, n - 1))
+    wobble = st.floats(-0.4, 0.4)
+    speeds = []
+    for center in [-(m - k) for k in range(m)] + list(range(1, n - m + 1)):
+        at0 = center + draw(wobble)
+        if draw(st.booleans()):
+            speeds.append(Profile.constant(at0))
+        else:
+            speeds.append(Profile.affine(at0, center + draw(wobble) - at0))
+    band = [(i, j) for i in range(2, n + 1) for j in range(1, min(i - 1, m) + 1)]
+    coeff = st.floats(-2.0, 2.0)
+    entries = {
+        key: Profile.affine(draw(coeff), draw(coeff))
+        for key in band if draw(st.booleans())
+    }
+    system = HyperbolicSystem(n, m, tuple(speeds), np.ones((n - m, m)))
+    return system, CascadeMatrix(n, m, entries), Grid(draw(st.integers(16, 64)))
+
+
+# m >= 4 is the smallest block in which the back-substitution order matters
+# (the last column block is always empty); random draws reach it rarely.
+FOUR_LEVEL_CASE = (
+    HyperbolicSystem(
+        5, 4, tuple(Profile.constant(c) for c in (-4, -3, -2, -1, 1)), np.ones((1, 4))
+    ),
+    CascadeMatrix(5, 4, {(i, j): Profile.constant(1) for i in range(2, 6) for j in range(1, i)}),
+    Grid(32),
+)
+
+
+@given(case=cascade_systems(), seed=st.integers(0, 2**31 - 1))
+@example(case=FOUR_LEVEL_CASE, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_compiled_fredholm_matches_reference(case, seed):
+    system, g, grid = case
+    op = IntegralOperator.from_kernel(build_kernel(system, g, grid))
+    law = FeedbackLaw.fredholm(op)
+    state = random_state(grid, system.n, system.m, seed)
+    out = law.evaluate(state)
+    assert np.max(np.abs(out - feedback_H(law, state))) <= 1e-13 * state.sup_norm()
+    assert out[0] == 0.0
+    assert np.all(law.evaluate(StateVector.zeros(system.n, system.m, grid)) == 0.0)
