@@ -12,7 +12,6 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from hyperstab import (  # noqa: E402
     simulate,
     vanish_time,
 )
+from hyperstab.kernels import format_floats, oracle_gap, write_csv  # noqa: E402
 
 
 def s3():
@@ -76,11 +76,7 @@ def main() -> int:
 
         kernel = build_kernel(system, cascade, grid)
         op = IntegralOperator.from_kernel(kernel)
-        oracle = kernel_oracle_solve(system, cascade, grid)
-        gap = max(
-            float(np.abs(tab - kernel.tables[key]).mean())
-            for key, tab in oracle.items()
-        )
+        _, gap = oracle_gap(kernel, kernel_oracle_solve(system, cascade, grid))
 
         arch = np.sin(np.pi * grid.nodes) ** 2
         gamma0 = StateVector(grid, 2, np.vstack([arch, arch, arch]))
@@ -109,12 +105,12 @@ def main() -> int:
         })
 
     cols = list(rows[0])
-    with open(outdir / "s3_study.csv", "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(cols)
-        for row in rows:
-            wr.writerow([f"{row[c]:.17g}" if isinstance(row[c], float) else row[c]
-                         for c in cols])
+    lines = []
+    for row in rows:
+        values = [row[c] for c in cols]
+        text = format_floats([np.nan if v is None else v for v in values])
+        lines.append(",".join("" if v is None else t for v, t in zip(values, text)) + "\n")
+    write_csv(outdir / "s3_study.csv", cols, lines)
 
     widths = [max(len(c), 12) for c in cols]
     print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))

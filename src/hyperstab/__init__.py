@@ -31,7 +31,6 @@ from .system_model import (
     HyperbolicSystem,
     PhiRangeError,
     Profile,
-    SpeedProfile,
     StateVector,
     naive_time,
     optimal_time,

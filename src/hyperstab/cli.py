@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,12 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import (
+    KERNEL_HEADER,
     CFLError,
     build_kernel,
     build_z_source,
+    format_floats,
     gamma_source,
     kernel_oracle_solve,
     kernel_residual,
+    kernel_rows,
+    oracle_gap,
+    write_csv,
     write_kernel_tables_csv,
 )
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -47,10 +51,6 @@ from .system_model import (
 from .transforms import FeedbackLaw, IntegralOperator, apply_fredholm, inverse_kernel, invert_fredholm
 
 __all__ = ["main"]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 @dataclass
@@ -103,13 +103,8 @@ def _cmd_synthesize(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     outdir.mkdir(parents=True, exist_ok=True)
     write_kernel_tables_csv(kernel.tables, grid, outdir / "kernel.csv")
     theta.write_csv(outdir / "inverse_kernel.csv")
-    with open(outdir / "feedback_trace.csv", "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["i", "j", "x", "y", "value"])
-        for (i, j) in kernel.pairs():
-            row = kernel.outflow_trace(i, j)
-            for q, yv in enumerate(grid.nodes):
-                wr.writerow([i, j, _fmt(1.0), _fmt(yv), _fmt(row[q])])
+    feedback_rows = kernel_rows(kernel.tables, grid, slice(-1, None))
+    write_csv(outdir / "feedback_trace.csv", KERNEL_HEADER, feedback_rows)
 
     lines = [
         f"[{scn.name}] T_opt = {optimal_time(system, grid)!r}",
@@ -185,12 +180,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
         Check("kernel_interior", imax <= itol, f"max residual {imax:.3g} (tol {itol:.3g})")
     )
 
-    oracle = kernel_oracle_solve(system, g, grid)
-    gap_max = gap_mean = 0.0
-    for key, tab in oracle.items():
-        diff = np.abs(tab - kernel.tables[key])
-        gap_max = max(gap_max, float(diff.max()))
-        gap_mean = max(gap_mean, float(diff.mean()))
+    gap_max, gap_mean = oracle_gap(kernel, kernel_oracle_solve(system, g, grid))
     checks.append(
         Check(
             "kernel_oracle_gap",
@@ -290,12 +280,13 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     return (0 if n_fail == 0 else 1), lines
 
 
-def _order(prev: float, cur: float) -> str:
-    if not (math.isfinite(prev) and math.isfinite(cur)) or prev <= 1e-13 or cur <= 1e-13:
-        return "n/a"
-    if prev == cur:
-        return "n/a"
-    return _fmt(math.log2(prev / cur))
+def _order(prev: float | None, cur: float | None) -> float | None:
+    """Observed convergence order between two grids; None where undefined."""
+    if prev is None or cur is None or not (math.isfinite(prev) and math.isfinite(cur)):
+        return None
+    if prev <= 1e-13 or cur <= 1e-13 or prev == cur:
+        return None
+    return math.log2(prev / cur)
 
 
 def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list[str]]:
@@ -309,12 +300,7 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
         dt = scn.resolve_dt(grid)
         kernel = build_kernel(system, g, grid)
         op = IntegralOperator.from_kernel(kernel)
-        oracle = kernel_oracle_solve(system, g, grid)
-        gap_max = gap_mean = 0.0
-        for key, tab in oracle.items():
-            diff = np.abs(tab - kernel.tables[key])
-            gap_max = max(gap_max, float(diff.max()))
-            gap_mean = max(gap_mean, float(diff.mean()))
+        gap_max, gap_mean = oracle_gap(kernel, kernel_oracle_solve(system, g, grid))
 
         z0 = _nonzero_initial(scn, grid)
         dev = commutation_check(
@@ -332,7 +318,7 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
             expected = naive_time(system, grid)
         else:
             expected = optimal_time(system, grid)
-        verr = abs(vt - expected) if vt is not None else math.nan
+        verr = abs(vt - expected) if vt is not None else None
         rows.append(
             {
                 "n_cells": n_cells,
@@ -345,30 +331,17 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
             }
         )
 
+    columns = ["n_cells", "dt", "kernel_gap_max", "kernel_gap_mean",
+               "commutation_dev", "vanish_time", "vanish_err"]
     metric_cols = ["kernel_gap_max", "kernel_gap_mean", "commutation_dev", "vanish_err"]
+    lines = []
+    for k, row in enumerate(rows):
+        values = [row[c] for c in columns]
+        values += [_order(rows[k - 1][c], row[c]) if k else None for c in metric_cols]
+        text = format_floats([math.nan if v is None else v for v in values])
+        lines.append(",".join("n/a" if v is None else t for v, t in zip(values, text)) + "\n")
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        header = ["n_cells", "dt", "kernel_gap_max", "kernel_gap_mean",
-                  "commutation_dev", "vanish_time", "vanish_err"]
-        header += [f"order_{c}" for c in metric_cols]
-        wr.writerow(header)
-        for k, row in enumerate(rows):
-            out = [
-                row["n_cells"],
-                _fmt(row["dt"]),
-                _fmt(row["kernel_gap_max"]),
-                _fmt(row["kernel_gap_mean"]),
-                _fmt(row["commutation_dev"]),
-                "n/a" if row["vanish_time"] is None else _fmt(row["vanish_time"]),
-                "n/a" if math.isnan(row["vanish_err"]) else _fmt(row["vanish_err"]),
-            ]
-            for c in metric_cols:
-                if k == 0 or math.isnan(rows[k][c]) or math.isnan(rows[k - 1][c]):
-                    out.append("n/a")
-                else:
-                    out.append(_order(rows[k - 1][c], rows[k][c]))
-            wr.writerow(out)
+    write_csv(outdir / "sweep.csv", columns + [f"order_{c}" for c in metric_cols], lines)
 
     lines = [f"[{scn.name}] sweep over N = {grids} written to {outdir / 'sweep.csv'}"]
     for row in rows:

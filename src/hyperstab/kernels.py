@@ -20,13 +20,16 @@ An independent check marches the defining transport system
 in y by first-order upwinding in x; closed form and march must agree to
 first order on refinement.
 
-Component indices (i, j) are 1-based everywhere in this module.
+Component indices (i, j) are 1-based everywhere in this module.  It also
+owns the one text format of every exported table: :func:`format_floats`
+for the floats and :func:`write_csv` to stream the lines.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +49,10 @@ __all__ = [
     "build_kernel",
     "kernel_oracle_solve",
     "kernel_residual",
+    "oracle_gap",
+    "format_floats",
+    "write_csv",
+    "kernel_rows",
     "write_kernel_tables_csv",
     "read_kernel_tables_csv",
 ]
@@ -202,15 +209,8 @@ class FredholmKernel:
     def m(self) -> int:
         return self.system.m
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.tables)
-
     def evaluate(self, i: int, j: int, x, y):
         return eval_kernel(self.system, self.source, i, j, x, y, self.grid)
-
-    def outflow_trace(self, i: int, j: int) -> np.ndarray:
-        """Kernel row at x = 1: the weights of the stabilizing feedback."""
-        return self.tables[(i, j)][-1, :]
 
 
 def build_kernel(system: HyperbolicSystem, g: CascadeMatrix, grid: Grid) -> FredholmKernel:
@@ -280,6 +280,19 @@ def kernel_oracle_solve(
     return out
 
 
+def oracle_gap(
+    kernel: FredholmKernel, oracle: dict[tuple[int, int], np.ndarray]
+) -> tuple[float, float]:
+    """Largest |oracle - closed form| over every entry, and the largest of the
+    per-entry mean gaps; (0.0, 0.0) for an empty cascade."""
+    gap_max = gap_mean = 0.0
+    for key, tab in oracle.items():
+        diff = np.abs(tab - kernel.tables[key])
+        gap_max = max(gap_max, float(diff.max()))
+        gap_mean = max(gap_mean, float(diff.mean()))
+    return gap_max, gap_mean
+
+
 @dataclass(frozen=True)
 class KernelResidual:
     """Residual summary for one kernel entry."""
@@ -342,23 +355,48 @@ def kernel_residual(
     return out
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def format_floats(values) -> list[str]:
+    """Text of each value, flattened, in the one float format of every table
+    hyperstab exports: 17 significant digits, which round-trip a double."""
+    return list(map("{:.17g}".format, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[str]) -> None:
+    """Write ``header``, then each block of finished ``\\n``-ended lines.
+
+    Blocks are written as they arrive, so a generator of blocks never holds
+    more than one block of text.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(blocks)
+
+
+def keyed_lines(head: str, keys: Sequence[str], values) -> str:
+    """One ``head,key,value`` line per key, each value formatted."""
+    return "".join(f"{head},{k},{v}\n" for k, v in zip(keys, format_floats(values)))
+
+
+KERNEL_HEADER = ("i", "j", "x", "y", "value")
+
+
+def kernel_rows(
+    tables: dict[tuple[int, int], np.ndarray], grid: Grid, x_rows: slice = slice(None)
+) -> Iterator[str]:
+    """``i,j,x,y,value`` lines of every table, one block per x node in
+    ``x_rows``, row-major over (x, y) nodes; ``slice(-1, None)`` gives the
+    x = 1 rows, which are the boundary feedback."""
+    nodes = format_floats(grid.nodes)
+    for (i, j) in sorted(tables):
+        for p in range(grid.n_nodes)[x_rows]:
+            yield keyed_lines(f"{i},{j},{nodes[p]}", nodes, tables[(i, j)][p])
 
 
 def write_kernel_tables_csv(
     tables: dict[tuple[int, int], np.ndarray], grid: Grid, path: str | Path
 ) -> None:
     """Emit ``i,j,x,y,value`` rows, row-major over (x, y) nodes."""
-    nodes = grid.nodes
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["i", "j", "x", "y", "value"])
-        for (i, j) in sorted(tables):
-            table = tables[(i, j)]
-            for p, xv in enumerate(nodes):
-                for q, yv in enumerate(nodes):
-                    wr.writerow([i, j, _fmt(xv), _fmt(yv), _fmt(table[p, q])])
+    write_csv(path, KERNEL_HEADER, kernel_rows(tables, grid))
 
 
 def read_kernel_tables_csv(path: str | Path, grid: Grid) -> dict[tuple[int, int], np.ndarray]:
@@ -368,7 +406,7 @@ def read_kernel_tables_csv(path: str | Path, grid: Grid) -> dict[tuple[int, int]
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
-        if header != ["i", "j", "x", "y", "value"]:
+        if header != list(KERNEL_HEADER):
             raise ValueError(f"unexpected kernel CSV header {header}")
         for row in rd:
             i, j = int(row[0]), int(row[1])

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import CascadeMatrix, TargetSource, build_z_source, gamma_source
+from .kernels import CascadeMatrix
 from .system_model import Grid, HyperbolicSystem, Profile, StateVector, validate_system
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "DEFAULT_TOLERANCES"]
@@ -113,13 +113,6 @@ class Scenario:
 
     def cascade(self) -> CascadeMatrix:
         return CascadeMatrix(self.n, self.m, dict(self.g_entries))
-
-    def target_source(self) -> TargetSource | None:
-        if self.dynamics == "gamma_target":
-            return gamma_source(self.cascade())
-        if self.dynamics == "z_target":
-            return build_z_source(self.cascade())
-        return None
 
     def initial_state(self, grid: Grid) -> StateVector:
         rng = np.random.default_rng(self.seed)

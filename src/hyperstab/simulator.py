@@ -1,22 +1,23 @@
 """Explicit time marching for the plant and both trace-coupled targets.
 
 One step does, in order: (a) transport, by first-order upwinding toward the
-flow direction or by an exact whole-cell shift when every speed moves an
-integer number of cells per step; (b) the source, by explicit Euler on the
-current snapshot, pointwise interior coupling for the plant and
-source-band times the current x = 0 trace for the targets; (c) boundaries,
-right-moving components at x = 0 from the constant coupling against the
-freshly transported left trace, left-moving components at x = 1 from the
-feedback evaluated on the current snapshot.
+flow direction, one block expression per direction, or by an exact
+whole-cell shift when every speed moves an integer number of cells per step;
+(b) the source, by explicit Euler on the current snapshot, pointwise
+interior coupling for the plant and source-band times the current x = 0
+trace for the targets; (c) boundaries, right-moving components at x = 0
+from the constant coupling against the freshly transported left trace,
+left-moving components at x = 1 from the feedback evaluated on the current
+snapshot.
 
 The integer-shift mode moves exact zeros to exact zeros, so finite-time
 vanishing can be certified at machine precision.  Each trajectory marches
-sequentially; distinct trajectories share no mutable state.
+sequentially; distinct trajectories share no mutable state.  The CSV
+exports stream one snapshot component or one stamp per written block.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -28,9 +29,19 @@ from .kernels import (
     FredholmKernel,
     TargetSource,
     build_z_source,
+    format_floats,
     gamma_source,
+    keyed_lines,
+    write_csv,
 )
-from .system_model import Grid, HyperbolicSystem, StateVector, validate_system
+from .system_model import (
+    BLOCKS,
+    Grid,
+    HyperbolicSystem,
+    StateVector,
+    block_norms,
+    validate_system,
+)
 from .transforms import FeedbackLaw, IntegralOperator, apply_fredholm
 
 __all__ = [
@@ -42,9 +53,6 @@ __all__ = [
     "write_trajectory_csv",
     "write_norms_csv",
 ]
-
-BLOCKS = ("minus", "plus", "total")
-
 
 @dataclass(frozen=True)
 class ClosedLoopSpec:
@@ -106,21 +114,6 @@ class Trajectory:
 
     def initial_sup(self) -> float:
         return float(self.sup[0, 2])
-
-
-def _norm_rows(data: np.ndarray, m: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sup = np.array(
-        [
-            np.max(np.abs(data[:m])),
-            np.max(np.abs(data[m:])),
-            np.max(np.abs(data)),
-        ]
-    )
-    sq = w[None, :] * data * data
-    s_minus = float(np.sum(sq[:m]))
-    s_plus = float(np.sum(sq[m:]))
-    l2 = np.sqrt(np.array([s_minus, s_plus, s_minus + s_plus]))
-    return sup, l2
 
 
 def simulate(
@@ -202,7 +195,7 @@ def simulate(
     l2 = np.empty((steps + 1, 3))
 
     cur = u0.data.copy()
-    sup[0], l2[0] = _norm_rows(cur, m, w)
+    sup[0], l2[0] = block_norms(cur, m, w)
     snap_times = [0.0]
     snapshots = [StateVector(grid, m, cur.copy())]
 
@@ -222,17 +215,15 @@ def simulate(
                     new[i, a:] = cur[i, : nn - a]
                     new[i, :a] = 0.0
         else:
-            for i in range(n):
-                if lam[i, 0] < 0:
-                    new[i, :-1] = cur[i, :-1] - dt * lam[i, :-1] * (
-                        cur[i, 1:] - cur[i, :-1]
-                    ) / dx
-                    new[i, -1] = fb[i]
-                else:
-                    new[i, 1:] = cur[i, 1:] - dt * lam[i, 1:] * (
-                        cur[i, 1:] - cur[i, :-1]
-                    ) / dx
-                    new[i, 0] = 0.0
+            # validate_system puts the negative speeds in rows :m
+            new[:m, :-1] = cur[:m, :-1] - dt * lam[:m, :-1] * (
+                cur[:m, 1:] - cur[:m, :-1]
+            ) / dx
+            new[m:, 1:] = cur[m:, 1:] - dt * lam[m:, 1:] * (
+                cur[m:, 1:] - cur[m:, :-1]
+            ) / dx
+            new[:m, -1] = fb
+            new[m:, 0] = 0.0
 
         if sig is not None:
             new += dt * np.einsum("ijk,jk->ik", sig, cur)
@@ -245,11 +236,10 @@ def simulate(
             i = m + r
             fill = abs(int(shifts[i])) if scheme == "integer_shift" else 1
             new[i, :fill] = qvals[r]
-        for i in range(m):
-            new[i, -1] = fb[i]
+        new[:m, -1] = fb
 
         cur = new
-        sup[step + 1], l2[step + 1] = _norm_rows(cur, m, w)
+        sup[step + 1], l2[step + 1] = block_norms(cur, m, w)
         if (step + 1) % snapshot_stride == 0 or step + 1 == steps:
             snap_times.append(times[step + 1])
             snapshots.append(StateVector(grid, m, cur.copy()))
@@ -308,27 +298,28 @@ def commutation_check(
     return dev
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Emit ``t,component,x,value`` rows for every stored snapshot."""
-    nodes = traj.grid.nodes
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["t", "component", "x", "value"])
+    nodes = format_floats(traj.grid.nodes)
+
+    def blocks():
         for t, snap in zip(traj.snapshot_times, traj.snapshots):
-            for i in range(snap.n):
-                for k, x in enumerate(nodes):
-                    wr.writerow([_fmt(t), i + 1, _fmt(x), _fmt(snap.data[i, k])])
+            (t_text,) = format_floats(t)
+            for i, values in enumerate(snap.data, start=1):
+                yield keyed_lines(f"{t_text},{i}", nodes, values)
+
+    write_csv(path, ("t", "component", "x", "value"), blocks())
 
 
 def write_norms_csv(traj: Trajectory, path) -> None:
     """Emit ``t,block,sup_norm,l2_norm`` rows for every stamp."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["t", "block", "sup_norm", "l2_norm"])
-        for k, t in enumerate(traj.times):
-            for b, name in enumerate(BLOCKS):
-                wr.writerow([_fmt(t), name, _fmt(traj.sup[k, b]), _fmt(traj.l2[k, b])])
+
+    def blocks():
+        for t, sup, l2 in zip(traj.times, traj.sup, traj.l2):
+            t_text, *cells = format_floats((t, *sup, *l2))
+            yield "".join(
+                f"{t_text},{name},{cells[b]},{cells[b + 3]}\n"
+                for b, name in enumerate(BLOCKS)
+            )
+
+    write_csv(path, ("t", "block", "sup_norm", "l2_norm"), blocks())

@@ -10,7 +10,7 @@ spatial grid, speed profiles, the characteristic travel-time maps
 their inverses, and the two control-time functionals built from transit
 times: the optimal time (slowest right transit plus slowest-exiting left
 transit) and the naive time (right transit plus the sum of all left
-transits).
+transits).  :func:`block_norms` is the one routine for every state norm.
 
 Component indices in the public API are 1-based; arrays are 0-based
 internally.  All types are immutable after construction and all operations
@@ -27,9 +27,10 @@ import numpy as np
 __all__ = [
     "Grid",
     "Profile",
-    "SpeedProfile",
     "HyperbolicSystem",
     "StateVector",
+    "BLOCKS",
+    "block_norms",
     "Violation",
     "ValidationReport",
     "PhiRangeError",
@@ -149,11 +150,6 @@ class Profile:
         t = np.linspace(0.0, 1.0, len(self.samples))
         slopes = np.gradient(self.samples, t)
         return np.interp(x, t, slopes)
-
-
-# The speed role uses the same representation; scenario validation restricts
-# speeds to the constant/affine/tabulated kinds.
-SpeedProfile = Profile
 
 
 @dataclass(frozen=True)
@@ -327,6 +323,21 @@ def naive_time(system: HyperbolicSystem, grid: Grid) -> float:
     return total
 
 
+# Order of the blocks in every norm triple: rows :m, rows m:, all rows.
+BLOCKS = ("minus", "plus", "total")
+
+
+def block_norms(data: np.ndarray, m: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sup and trapezoid-L2 norms of each block of ``data``, ordered as
+    :data:`BLOCKS`; ``w`` are the quadrature weights along a row."""
+    mag = np.abs(data)
+    sup = np.array([np.max(mag[:m]), np.max(mag[m:]), np.max(mag)])
+    sq = w * data * data
+    s_minus = float(np.sum(sq[:m]))
+    s_plus = float(np.sum(sq[m:]))
+    return sup, np.sqrt(np.array([s_minus, s_plus, s_minus + s_plus]))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """n component arrays sampled on a shared grid, split at index m."""
@@ -349,34 +360,21 @@ class StateVector:
     def n(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def minus(self) -> np.ndarray:
-        return self.data[: self.m]
-
-    @property
-    def plus(self) -> np.ndarray:
-        return self.data[self.m :]
-
     def component(self, i: int) -> np.ndarray:
         """Component ``i`` (1-based)."""
         return self.data[i - 1]
 
     def sup_norm(self, block: str = "total") -> float:
-        return float(np.max(np.abs(self._block(block)))) if self._block(block).size else 0.0
+        return self._norm(0, block)
 
     def l2_norm(self, block: str = "total") -> float:
-        w = self.grid.trapezoid_weights()
-        d = self._block(block)
-        return float(np.sqrt(np.sum(w[None, :] * d * d)))
+        return self._norm(1, block)
 
-    def _block(self, block: str) -> np.ndarray:
-        if block == "minus":
-            return self.minus
-        if block == "plus":
-            return self.plus
-        if block == "total":
-            return self.data
-        raise ValueError(f"unknown block {block!r}")
+    def _norm(self, kind: int, block: str) -> float:
+        if block not in BLOCKS:
+            raise ValueError(f"unknown block {block!r}")
+        norms = block_norms(self.data, self.m, self.grid.trapezoid_weights())
+        return float(norms[kind][BLOCKS.index(block)])
 
     @classmethod
     def zeros(cls, n: int, m: int, grid: Grid) -> "StateVector":

@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -38,3 +42,19 @@ def smooth_state(grid: Grid, n: int, m: int, seed: int) -> StateVector:
     amps = rng.uniform(-1.0, 1.0, n)
     arch = np.sin(np.pi * grid.nodes) ** 2
     return StateVector(grid, m, np.outer(amps, arch))
+
+
+# Values whose text the exported tables must pin: signed zero, the smallest
+# subnormal, inexact decimals, a large exponent, an exact integer, non-finite.
+SPECIAL_FLOATS = (-0.0, 5e-324, 0.1, 1 / 3, -2.5e17, 1.0, math.nan, math.inf)
+
+
+def csv_reference(header, rows) -> str:
+    """Expected file text: ``csv.writer`` rows with floats as ``%.17g``."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(header)
+    wr.writerows(
+        [f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows
+    )
+    return buf.getvalue()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,12 @@ from hyperstab import (
     kernel_oracle_solve,
     kernel_residual,
 )
-from hyperstab.kernels import read_kernel_tables_csv, write_kernel_tables_csv
+from hyperstab.kernels import (
+    oracle_gap,
+    read_kernel_tables_csv,
+    write_kernel_tables_csv,
+)
+from tests.conftest import SPECIAL_FLOATS, csv_reference
 
 
 def sq_profile():
@@ -220,3 +227,34 @@ def test_csv_round_trip(tmp_path, s3_system, s3_cascade):
     assert set(back) == set(kern.tables)
     for key in back:
         assert np.array_equal(back[key], kern.tables[key])
+
+
+def test_csv_text_format(tmp_path):
+    grid = Grid(8)
+    cycle = itertools.cycle(SPECIAL_FLOATS)
+    special = np.array([next(cycle) for _ in range(grid.n_nodes**2)])
+    special = special.reshape(grid.n_nodes, grid.n_nodes)
+    # inserted out of order: the file is sorted by (i, j)
+    tables = {(3, 1): special, (2, 1): -special.T}
+    path = tmp_path / "kernel.csv"
+    write_kernel_tables_csv(tables, grid, path)
+    rows = [
+        [i, j, float(x), float(y), float(tables[(i, j)][p, q])]
+        for (i, j) in sorted(tables)
+        for p, x in enumerate(grid.nodes)
+        for q, y in enumerate(grid.nodes)
+    ]
+    assert path.read_text() == csv_reference(["i", "j", "x", "y", "value"], rows)
+
+
+def test_oracle_gap(s3_system, s3_cascade):
+    grid = Grid(32)
+    kern = build_kernel(s3_system, s3_cascade, grid)
+    oracle = kernel_oracle_solve(s3_system, s3_cascade, grid)
+    diffs = [np.abs(oracle[key] - kern.tables[key]) for key in oracle]
+    assert oracle_gap(kern, oracle) == (
+        max(float(d.max()) for d in diffs),
+        max(float(d.mean()) for d in diffs),
+    )
+    empty = CascadeMatrix(3, 2, {})
+    assert oracle_gap(build_kernel(s3_system, empty, grid), {}) == (0.0, 0.0)

@@ -133,6 +133,10 @@ class TestCliSynthesize:
         trace = (out / "s3" / "feedback_trace.csv").read_text().splitlines()
         assert trace[0] == "i,j,x,y,value"
         assert all(line.split(",")[2] == "1" for line in trace[1:])
+        x_one = [line for line in kernel_csv.read_text().splitlines()[1:]
+                 if line.split(",")[2] == "1"]
+        assert len(x_one) == 201  # the one entry k21 on 201 y nodes
+        assert trace[1:] == x_one
 
     def test_empty_cascade_gives_empty_tables(self, tmp_path, capsys):
         cfg = S3_TEXT.replace("name = s3", "name = empty_g")

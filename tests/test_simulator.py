@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,8 @@ from hyperstab import (
     simulate,
     vanish_time,
 )
-from hyperstab.simulator import write_norms_csv, write_trajectory_csv
-from tests.conftest import random_state, smooth_state
+from hyperstab.simulator import Trajectory, write_norms_csv, write_trajectory_csv
+from tests.conftest import SPECIAL_FLOATS, csv_reference, random_state, smooth_state
 
 
 def single_left_system():
@@ -179,6 +181,42 @@ class TestUpwind:
         traj = simulate(spec, StateVector(grid, 1, data), 0.2, grid, scheme="upwind")
         assert traj.snapshots[-1].sup_norm("plus") > 0.0
 
+    def test_one_step_matches_componentwise_reference(self):
+        grid = Grid(24)
+        n, m = 4, 2
+        speeds = (Profile.affine(-3, 1), Profile.affine(-1, -0.5),
+                  Profile.affine(0.5, 0.25), Profile.affine(2, -1))
+        sys_ = HyperbolicSystem(n, m, speeds, np.array([[0.5, -1.0], [2.0, 0.25]]),
+                                sigma={(1, 3): Profile.constant(0.3),
+                                       (4, 2): Profile.affine(0.1, 1)})
+        rng = np.random.default_rng(3)
+        law = FeedbackLaw.riesz(rng.uniform(-1, 1, (m, n, grid.n_nodes)), grid)
+        u = rng.uniform(-1, 1, (n, grid.n_nodes))
+        dt = 0.7 * grid.dx / 3
+        traj = simulate(ClosedLoopSpec.plant(sys_, law), StateVector(grid, m, u),
+                        dt, grid, scheme="upwind", dt=dt)
+        assert traj.times.size == 2
+
+        # the per-component transport loop the block expressions replaced
+        lam = sys_.speed_values(grid.nodes)
+        fb = law.evaluate(StateVector(grid, m, u))
+        dx = grid.dx
+        ref = np.empty_like(u)
+        for i in range(n):
+            if lam[i, 0] < 0:
+                ref[i, :-1] = u[i, :-1] - dt * lam[i, :-1] * (u[i, 1:] - u[i, :-1]) / dx
+                ref[i, -1] = fb[i]
+            else:
+                ref[i, 1:] = u[i, 1:] - dt * lam[i, 1:] * (u[i, 1:] - u[i, :-1]) / dx
+                ref[i, 0] = 0.0
+        sig = np.zeros((n, n, grid.n_nodes))
+        for (i, j), prof in sys_.sigma.items():
+            sig[i - 1, j - 1] = prof(grid.nodes)
+        ref += dt * np.einsum("ijk,jk->ik", sig, u)
+        ref[m:, 0] = sys_.q @ ref[:m, 0]
+        ref[:m, -1] = fb
+        assert np.array_equal(traj.snapshots[-1].data, ref)
+
 
 class TestGammaTarget:
     def test_optimal_feedback_beats_naive(self, s3_system, s3_cascade):
@@ -332,6 +370,33 @@ class TestTrajectoryOutput:
         assert nlines[0] == "t,block,sup_norm,l2_norm"
         assert len(nlines) == 1 + traj.times.size * 3
         assert nlines[1].split(",")[1] == "minus"
+
+    def test_csv_text_format(self, tmp_path):
+        grid = Grid(8)
+        cycle = itertools.cycle(SPECIAL_FLOATS)
+        snaps = [StateVector(grid, 1, [[next(cycle) for _ in grid.nodes] for _ in range(2)])
+                 for _ in range(3)]
+        times = np.array(SPECIAL_FLOATS[:4])
+        norms = np.array([[next(cycle) for _ in range(3)] for _ in range(8)])
+        traj = Trajectory(grid, 1, 0.1, times, norms[:4], norms[4:],
+                          np.array(SPECIAL_FLOATS[-3:]), snaps)
+        tpath = tmp_path / "trajectory.csv"
+        npath = tmp_path / "norms.csv"
+        write_trajectory_csv(traj, tpath)
+        write_norms_csv(traj, npath)
+        assert tpath.read_text() == csv_reference(
+            ["t", "component", "x", "value"],
+            [[float(t), i + 1, float(x), float(snap.data[i, k])]
+             for t, snap in zip(traj.snapshot_times, snaps)
+             for i in range(2)
+             for k, x in enumerate(grid.nodes)],
+        )
+        assert npath.read_text() == csv_reference(
+            ["t", "block", "sup_norm", "l2_norm"],
+            [[float(t), name, float(traj.sup[k, b]), float(traj.l2[k, b])]
+             for k, t in enumerate(times)
+             for b, name in enumerate(("minus", "plus", "total"))],
+        )
 
     def test_recorded_norms_match_state_methods(self, s3_system, s3_cascade):
         grid = Grid(16)

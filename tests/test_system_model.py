@@ -18,6 +18,7 @@ from hyperstab import (
     transit_time,
     validate_system,
 )
+from hyperstab.system_model import block_norms
 
 
 def make_system(*speeds, m, q=None):
@@ -184,6 +185,27 @@ class TestGridState:
         assert st_.sup_norm("plus") == 1.0
         assert st_.sup_norm() == 2.0
         assert st_.l2_norm("plus") == pytest.approx(1.0, abs=1e-12)
+
+    def test_block_norms_match_blockwise_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(1, n))
+            grid = Grid(int(rng.integers(8, 200)))
+            w = grid.trapezoid_weights()
+            data = rng.normal(size=(n, grid.n_nodes)) * 10.0 ** rng.integers(-5, 5, (n, 1))
+            # the per-block arithmetic that norms.csv was first written with
+            sq = w[None, :] * data * data
+            s_minus, s_plus = float(np.sum(sq[:m])), float(np.sum(sq[m:]))
+            sup, l2 = block_norms(data, m, w)
+            assert np.array_equal(sup, [np.max(np.abs(data[:m])),
+                                        np.max(np.abs(data[m:])),
+                                        np.max(np.abs(data))])
+            assert np.array_equal(l2, np.sqrt([s_minus, s_plus, s_minus + s_plus]))
+
+    def test_unknown_block_rejected(self):
+        with pytest.raises(ValueError):
+            StateVector.zeros(3, 2, Grid(16)).sup_norm("left")
 
     def test_state_shape_checked(self):
         grid = Grid(16)
