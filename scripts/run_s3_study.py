@@ -33,6 +33,7 @@ from hyperstab import (  # noqa: E402
     commutation_check,
     gamma_source,
     kernel_oracle_solve,
+    march_targets,
     naive_time,
     optimal_time,
     simulate,
@@ -90,8 +91,7 @@ def main() -> int:
             gamma0, 3.0, grid, scheme="integer_shift", dt=dt, snapshot_stride=10**9,
         )
         z0 = StateVector(grid, 2, np.vstack([arch, 0.5 * arch, -arch]))
-        dev = commutation_check(system, cascade, kernel, z0, 3.0, grid,
-                                scheme="integer_shift", dt=dt)
+        dev = commutation_check(op, *march_targets(op, z0, 3.0, "integer_shift", dt))
         gamma0_dev = apply_fredholm(op, z0).sup_norm()
 
         rows.append({

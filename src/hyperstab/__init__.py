@@ -23,6 +23,7 @@ from .simulator import (
     ClosedLoopSpec,
     Trajectory,
     commutation_check,
+    march_targets,
     simulate,
     vanish_time,
 )

@@ -36,6 +36,7 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .simulator import (
     ClosedLoopSpec,
     commutation_check,
+    march_targets,
     simulate,
     vanish_time,
     write_norms_csv,
@@ -202,17 +203,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     )
     checks.append(Check("trace_preservation", tr_err == 0.0, f"mismatch {tr_err:.3g}"))
 
-    theta = inverse_kernel(op)
-    nn = grid.n_nodes
-    w = grid.trapezoid_weights()
-    dim = scn.m * nn
-    forward = np.eye(dim)
-    backward = np.eye(dim)
-    for (i, j), tab in kernel.tables.items():
-        forward[(i - 1) * nn : i * nn, (j - 1) * nn : j * nn] -= tab * w[None, :]
-    for (i, j), tab in theta.tables.items():
-        backward[(i - 1) * nn : i * nn, (j - 1) * nn : j * nn] -= tab * w[None, :]
-    id_err = float(np.max(np.abs(backward @ forward - np.eye(dim))))
+    id_err = inverse_kernel(op).identity_error(op)
     checks.append(
         Check(
             "inverse_identity",
@@ -222,10 +213,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     )
 
     z0 = _nonzero_initial(scn, grid)
-    z_traj = simulate(
-        ClosedLoopSpec.z_target(system, build_z_source(g)),
-        z0, t_run, grid, scheme=scn.scheme, dt=dt, snapshot_stride=10**9,
-    )
+    z_traj, pair_traj = march_targets(op, z0, t_run, scn.scheme, dt)
     if scn.scheme == "integer_shift":
         late = z_traj.times >= topt + 2 * z_traj.dt + 1e-12
         tail = float(z_traj.sup_total[late].max()) if np.any(late) else 0.0
@@ -238,11 +226,12 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
         z_detail = f"vanish_time = {'none' if vt is None else repr(vt)} (limit {topt + slack!r})"
     checks.append(Check("z_vanish_by_T_opt", z_ok, z_detail))
 
-    gamma0 = apply_fredholm(op, z0)
-    g_traj = simulate(
-        ClosedLoopSpec.gamma_target(system, gamma_source(g), _feedback_law(scn, grid, op)),
-        gamma0, t_run, grid, scheme=scn.scheme, dt=dt, snapshot_stride=10**9,
-    )
+    g_traj = pair_traj
+    if scn.feedback_kind != "fredholm":
+        g_traj = simulate(
+            ClosedLoopSpec.gamma_target(system, gamma_source(g), _feedback_law(scn, grid, op)),
+            pair_traj.snapshots[0], t_run, grid, scheme=scn.scheme, dt=dt, snapshot_stride=10**9,
+        )
     vt = vanish_time(g_traj, scn.tol("vanish_rel"))
     if scn.scheme == "integer_shift":
         slack = scn.tol("vanish_slack_steps") * g_traj.dt
@@ -259,8 +248,8 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
         )
     )
 
-    dev = commutation_check(system, g, kernel, z0, t_run, grid, scheme=scn.scheme, dt=dt)
-    cm_tol = scn.tol("commutation_rel") * gamma0.sup_norm()
+    dev = commutation_check(op, z_traj, pair_traj)
+    cm_tol = scn.tol("commutation_rel") * pair_traj.initial_sup()
     checks.append(
         Check("commutation", dev <= cm_tol, f"max deviation {dev:.3g} (tol {cm_tol:.3g})")
     )
@@ -302,13 +291,10 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
         op = IntegralOperator.from_kernel(kernel)
         gap_max, gap_mean = oracle_gap(kernel, kernel_oracle_solve(system, g, grid))
 
-        z0 = _nonzero_initial(scn, grid)
-        dev = commutation_check(
-            system, g, kernel, z0, scn.t_final, grid, scheme=scn.scheme, dt=dt
-        )
+        u0 = _nonzero_initial(scn, grid)
+        dev = commutation_check(op, *march_targets(op, u0, scn.t_final, scn.scheme, dt))
 
         spec = _closed_loop(scn, grid, op)
-        u0 = _nonzero_initial(scn, grid)
         traj = simulate(
             spec, u0, scn.t_final, grid,
             scheme=scn.scheme, dt=dt, snapshot_stride=10**9,

@@ -84,10 +84,6 @@ class CascadeMatrix:
                     f"entry {(i, j)} breaks the strictly-lower cascade structure"
                 )
 
-    @classmethod
-    def zero(cls, n: int, m: int) -> "CascadeMatrix":
-        return cls(n, m, {})
-
     def entry(self, i: int, j: int) -> Profile | None:
         return self.entries.get((i, j))
 
@@ -133,13 +129,6 @@ def build_z_source(g: CascadeMatrix) -> TargetSource:
     return TargetSource("z", CascadeMatrix(g.n, g.m, kept))
 
 
-def _check_pair(m: int, i: int, j: int) -> None:
-    if not (2 <= i <= m and 1 <= j <= i - 1):
-        raise ValueError(
-            f"kernel entry ({i}, {j}) outside cascade range 2 <= i <= {m}, j < i"
-        )
-
-
 def eval_kernel(
     system: HyperbolicSystem,
     g: CascadeMatrix,
@@ -155,7 +144,10 @@ def eval_kernel(
     corner is the one point where the inflow condition k(0, y) = 0 and the
     y = 0 data meet; the inflow side wins there, so the value is 0.
     """
-    _check_pair(system.m, i, j)
+    if not (2 <= i <= system.m and 1 <= j <= i - 1):
+        raise ValueError(
+            f"kernel entry ({i}, {j}) outside cascade range 2 <= i <= {system.m}, j < i"
+        )
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     vals, _ = _closed_form(
@@ -194,9 +186,9 @@ class FredholmKernel:
     """Node tables of every populated cascade kernel entry, with supports.
 
     ``tables[(i, j)][p, q]`` holds k_ij(x_p, y_q); ``masks`` holds the
-    closed-support indicator at the same nodes.  The defining closure stays
-    reachable through :meth:`evaluate`.  Row 1 of the assembled m-by-m
-    kernel is empty by construction.
+    closed-support indicator at the same nodes; :func:`eval_kernel` gives
+    the closed form off the nodes.  Row 1 of the assembled m-by-m kernel is
+    empty by construction.
     """
 
     system: HyperbolicSystem
@@ -208,9 +200,6 @@ class FredholmKernel:
     @property
     def m(self) -> int:
         return self.system.m
-
-    def evaluate(self, i: int, j: int, x, y):
-        return eval_kernel(self.system, self.source, i, j, x, y, self.grid)
 
 
 def build_kernel(system: HyperbolicSystem, g: CascadeMatrix, grid: Grid) -> FredholmKernel:

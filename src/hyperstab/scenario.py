@@ -385,6 +385,9 @@ def load_scenario(path: str | Path) -> Scenario:
             bad.append("init.seed: required when any component uses a random preset")
         if dynamics == "z_target" and feedback_kind != "zero":
             bad.append("feedback: the z target system pins zero boundary feedback")
+        if dynamics == "plant" and feedback_kind == "fredholm":
+            bad.append("feedback: the fredholm law targets the gamma system; the Volterra "
+                       "stage that maps the plant onto it is not implemented")
 
     if bad:
         raise ScenarioError(bad)

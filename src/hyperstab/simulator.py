@@ -12,8 +12,10 @@ snapshot.
 
 The integer-shift mode moves exact zeros to exact zeros, so finite-time
 vanishing can be certified at machine precision.  Each trajectory marches
-sequentially; distinct trajectories share no mutable state.  The CSV
-exports stream one snapshot component or one stamp per written block.
+sequentially; distinct trajectories share no mutable state.
+:func:`march_targets` marches the z/gamma target pair that the transform
+intertwines once, for every check on it.  The CSV exports stream one
+snapshot component or one stamp per written block.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    CascadeMatrix,
     CFLError,
-    FredholmKernel,
     TargetSource,
     build_z_source,
     format_floats,
@@ -49,6 +49,7 @@ __all__ = [
     "Trajectory",
     "simulate",
     "vanish_time",
+    "march_targets",
     "commutation_check",
     "write_trajectory_csv",
     "write_norms_csv",
@@ -264,33 +265,37 @@ def vanish_time(traj: Trajectory, tol_rel: float) -> float | None:
     return float(traj.times[hits[0]]) if hits.size else None
 
 
-def commutation_check(
-    system: HyperbolicSystem,
-    g: CascadeMatrix,
-    kernel: FredholmKernel,
-    z0: StateVector,
-    t_final: float,
-    grid: Grid,
-    scheme: str = "integer_shift",
-    dt: float | None = None,
-) -> float:
-    """Largest sup-norm gap between the marched gamma system and the
-    transformed marched z system, over all shared stamps.
-
-    Both runs start from consistent data (gamma0 is the transform of z0)
-    and share the step size, so the gap isolates how far the discrete
-    march is from commuting with the discrete transform.
+def march_targets(
+    op: IntegralOperator, z0: StateVector, t_final: float, scheme: str, dt: float | None
+) -> tuple[Trajectory, Trajectory]:
+    """March the z target from ``z0`` and, under the compiled fredholm law,
+    the gamma target from its transform; system, cascade and grid come from
+    ``op.kernel``.  Both runs snapshot every step for :func:`commutation_check`.
     """
-    op = IntegralOperator.from_kernel(kernel)
-    gamma0 = apply_fredholm(op, z0)
+    system, g, grid = op.kernel.system, op.kernel.source, op.kernel.grid
     z_traj = simulate(
         ClosedLoopSpec.z_target(system, build_z_source(g)),
         z0, t_final, grid, scheme=scheme, dt=dt, snapshot_stride=1,
     )
     g_traj = simulate(
         ClosedLoopSpec.gamma_target(system, gamma_source(g), FeedbackLaw.fredholm(op)),
-        gamma0, t_final, grid, scheme=scheme, dt=dt, snapshot_stride=1,
+        apply_fredholm(op, z0), t_final, grid, scheme=scheme, dt=dt, snapshot_stride=1,
     )
+    return z_traj, g_traj
+
+
+def commutation_check(op: IntegralOperator, z_traj: Trajectory, g_traj: Trajectory) -> float:
+    """Largest sup-norm gap between the marched gamma system and the
+    transformed marched z system, over all stamps.
+
+    The runs are the pair from :func:`march_targets`: consistent initial
+    data and one step size, so the gap isolates how far the discrete march
+    is from commuting with the discrete transform.  Runs on different
+    stamps, or without a snapshot at every stamp, are rejected.
+    """
+    stamps = (g_traj.times, z_traj.snapshot_times, g_traj.snapshot_times)
+    if not all(np.array_equal(t, z_traj.times) for t in stamps):
+        raise ValueError("commutation needs two runs on the same stamps, snapshotted at each")
     dev = 0.0
     for z_snap, g_snap in zip(z_traj.snapshots, g_traj.snapshots):
         ref = op._apply_data(z_snap.data)

@@ -360,10 +360,6 @@ class StateVector:
     def n(self) -> int:
         return self.data.shape[0]
 
-    def component(self, i: int) -> np.ndarray:
-        """Component ``i`` (1-based)."""
-        return self.data[i - 1]
-
     def sup_norm(self, block: str = "total") -> float:
         return self._norm(0, block)
 

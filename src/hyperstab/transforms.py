@@ -6,7 +6,7 @@ lower components, while component 1 and every right component pass through
 untouched.  In component-major ordering the discrete matrix is unit lower
 block-triangular, so the inverse is exact forward substitution, no
 conditioning argument needed, and the inverse kernel has the same cascade
-shape with entries recoverable column-by-column from sampled impulses.
+shape, its blocks given by a recursion over the forward blocks.
 
 Every non-zero boundary feedback is one weight table W of shape
 (m, n, nodes), with the trapezoid weights folded in, applied as
@@ -104,24 +104,46 @@ class InverseKernel:
     def write_csv(self, path) -> None:
         write_kernel_tables_csv(self.tables, self.grid, path)
 
+    def identity_error(self, op: IntegralOperator) -> float:
+        """sup |E| for E = (I - Theta_w)(I - K_w) - I, K the kernel of ``op``,
+        block by block: E_ij = sum_k Theta_ik K_kj - Theta_ij - K_ij over every
+        (i, k, j), so no cascade shape is assumed and no (mN)^2 matrix is built."""
+        w = self.grid.trapezoid_weights()
+        theta = {key: tab * w[None, :] for key, tab in self.tables.items()}
+        kw, blocks = op.weighted, range(1, self.m + 1)
+        worst = 0.0
+        for i in blocks:
+            for j in blocks:
+                err = -theta.get((i, j), 0.0) - kw.get((i, j), 0.0)
+                for k in blocks:
+                    if (i, k) in theta and (k, j) in kw:
+                        err = err + theta[(i, k)] @ kw[(k, j)]
+                worst = max(worst, float(np.max(np.abs(err))))
+        return worst
+
 
 def inverse_kernel(op: IntegralOperator) -> InverseKernel:
-    """Recover the inverse-transform kernel from sampled impulse columns.
+    """Recover the inverse-transform kernel by block recursion.
 
-    Feeding the canonical impulse basis of component j through the forward
-    substitution reads off the discrete inverse column by column; dividing
-    out the quadrature weights turns columns back into node tables.
+    With W the weighted kernel blocks, L^-1_ij = W_ij + sum_{j<k<i} W_ik L^-1_kj,
+    summed from zeros over ascending k as forward substitution adds them, so
+    the tables equal impulses pushed through ``_invert_data`` bit for bit.
+    Dividing out the quadrature weights gives node tables; all-zero ones are
+    dropped.
     """
     grid, m = op.grid, op.m
-    nn = grid.n_nodes
     w = grid.trapezoid_weights()
+    blocks: dict[tuple[int, int], np.ndarray] = {}
     tables: dict[tuple[int, int], np.ndarray] = {}
     for j in range(1, m):
-        batch = np.zeros((m, nn, nn))
-        batch[j - 1] = np.eye(nn)
-        out = op._invert_data(batch)
         for i in range(j + 1, m + 1):
-            theta = -out[i - 1] / w[None, :]
+            block = np.zeros((grid.n_nodes, grid.n_nodes))
+            for k in range(j, i):
+                kw = op.weighted.get((i, k))
+                if kw is not None:
+                    block += kw if k == j else kw @ blocks[(k, j)]
+            blocks[(i, j)] = block
+            theta = -block / w[None, :]
             if np.any(theta):
                 tables[(i, j)] = theta
     return InverseKernel(m, grid, tables)

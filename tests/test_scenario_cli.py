@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperstab import Grid, ScenarioError, load_scenario
+from hyperstab import Grid, ScenarioError, cli, load_scenario, simulator
 from hyperstab.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -94,6 +94,15 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(write_cfg(tmp_path, bad))
         assert any("feedback" in v for v in err.value.violations)
+
+    def test_plant_with_fredholm_feedback_rejected(self, tmp_path):
+        # the fredholm law is the gamma target's; no Volterra stage maps the
+        # plant onto that target, so the law would not be the paper's
+        bad = (SCENARIOS / "plant_demo.cfg").read_text().replace(
+            "feedback = zero", "feedback = fredholm")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(write_cfg(tmp_path, bad))
+        assert any("fredholm" in v and "Volterra" in v for v in err.value.violations)
 
     def test_riesz_feedback_tables_load(self, tmp_path):
         rows = ["i,j,y,value"]
@@ -200,6 +209,22 @@ class TestCliVerify:
         fail_line = next(l for l in text.splitlines() if "FAIL gamma_vanish" in l)
         measured = float(fail_line.split("= ")[1].split(" ")[0])
         assert abs(measured - 2.5) <= 0.1
+
+    @pytest.mark.parametrize("name, marches", [
+        ("s3", ["z_target", "gamma_target"]),
+        ("s3_naive", ["z_target", "gamma_target", "gamma_target"]),
+    ])
+    def test_each_target_loop_marched_once(self, tmp_path, monkeypatch, name, marches):
+        # the z/gamma pair serves the vanishing checks and the commutation
+        # check; only a law other than fredholm needs a march of its own
+        calls = []
+        for module in (cli, simulator):
+            def counted(spec, *args, real=module.simulate, **kwargs):
+                calls.append(spec.dynamics)
+                return real(spec, *args, **kwargs)
+            monkeypatch.setattr(module, "simulate", counted)
+        main(["verify", str(SCENARIOS / f"{name}.cfg"), "--out", str(tmp_path), "--quiet"])
+        assert calls == marches
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "system.n = 3\n")

@@ -19,6 +19,7 @@ from hyperstab import (
     commutation_check,
     feedback_H,
     gamma_source,
+    march_targets,
     naive_time,
     optimal_time,
     simulate,
@@ -313,34 +314,62 @@ class TestThreeLeftComponents:
         assert vt is not None and vt <= 2.0 + 5 * traj.dt
 
 
+def march_pair(system, g, grid, z0, t_final):
+    op = IntegralOperator.from_kernel(build_kernel(system, g, grid))
+    return op, march_targets(op, z0, t_final, "integer_shift", grid.dx)
+
+
 class TestCommutation:
     def test_decoupled_case_exact(self, s3_system):
         # no cascade block: transform is the identity, both targets coincide
         g = CascadeMatrix(3, 2, {(3, 1): Profile.constant(1),
                                  (3, 2): Profile.constant(1)})
         grid = Grid(64)
-        kern = build_kernel(s3_system, g, grid)
-        dev = commutation_check(s3_system, g, kern, random_state(grid, 3, 2, 4),
-                                2.0, grid, scheme="integer_shift", dt=grid.dx)
-        assert dev <= 1e-12
+        op, pair = march_pair(s3_system, g, grid, random_state(grid, 3, 2, 4), 2.0)
+        assert commutation_check(op, *pair) <= 1e-12
 
     def test_zero_data_zero_deviation(self, s3_system, s3_cascade):
         grid = Grid(64)
-        kern = build_kernel(s3_system, s3_cascade, grid)
-        dev = commutation_check(s3_system, s3_cascade, kern,
-                                StateVector.zeros(3, 2, grid), 2.0, grid,
-                                scheme="integer_shift", dt=grid.dx)
-        assert dev == 0.0
+        op, pair = march_pair(s3_system, s3_cascade, grid, StateVector.zeros(3, 2, grid), 2.0)
+        assert commutation_check(op, *pair) == 0.0
 
     def test_refinement_reduces_deviation(self, s3_system, s3_cascade):
         devs = []
         for n_cells in (100, 200):
             grid = Grid(n_cells)
-            kern = build_kernel(s3_system, s3_cascade, grid)
-            devs.append(commutation_check(s3_system, s3_cascade, kern,
-                                          smooth_state(grid, 3, 2, 42), 3.0, grid,
-                                          scheme="integer_shift", dt=grid.dx))
+            op, pair = march_pair(s3_system, s3_cascade, grid,
+                                  smooth_state(grid, 3, 2, 42), 3.0)
+            devs.append(commutation_check(op, *pair))
         assert np.log2(devs[0] / devs[1]) >= 0.8
+
+    def test_pair_shares_every_stamp(self, s3_system, s3_cascade):
+        grid = Grid(32)
+        z0 = random_state(grid, 3, 2, 5)
+        op, (z_traj, g_traj) = march_pair(s3_system, s3_cascade, grid, z0, 1.0)
+        for traj in (z_traj, g_traj):
+            assert np.array_equal(traj.snapshot_times, traj.times)
+        assert np.array_equal(z_traj.times, g_traj.times)
+        assert np.array_equal(z_traj.snapshots[0].data, z0.data)
+        assert np.array_equal(g_traj.snapshots[0].data, apply_fredholm(op, z0).data)
+
+    def test_mismatched_runs_rejected(self, s3_system, s3_cascade):
+        grid = Grid(32)
+        z0 = random_state(grid, 3, 2, 5)
+        op, (z_traj, g_traj) = march_pair(s3_system, s3_cascade, grid, z0, 1.0)
+        shorter = march_targets(op, z0, 0.5, "integer_shift", grid.dx)[1]
+        coarser = march_targets(op, z0, 1.0, "integer_shift", 2 * grid.dx)[1]
+        z_spec = ClosedLoopSpec.z_target(s3_system, build_z_source(s3_cascade))
+        g_spec = ClosedLoopSpec.gamma_target(s3_system, gamma_source(s3_cascade),
+                                             FeedbackLaw.fredholm(op))
+        z_strided, g_strided = (
+            simulate(spec, u0, 1.0, grid, scheme="integer_shift", dt=grid.dx,
+                     snapshot_stride=2)
+            for spec, u0 in ((z_spec, z0), (g_spec, g_traj.snapshots[0]))
+        )
+        for pair in ((z_traj, shorter), (z_traj, coarser), (z_strided, g_traj),
+                     (z_traj, g_strided), (z_strided, g_strided)):
+            with pytest.raises(ValueError):
+                commutation_check(op, *pair)
 
 
 class TestTrajectoryOutput:

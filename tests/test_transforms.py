@@ -152,16 +152,8 @@ class TestInverseKernel:
     def test_composed_with_forward_gives_identity(self):
         sys_, g, grid, op = make_m3_operator()
         theta = inverse_kernel(op)
-        nn = grid.n_nodes
-        w = grid.trapezoid_weights()
-        dim = 3 * nn
-        forward = np.eye(dim)
-        backward = np.eye(dim)
-        for (i, j), tab in op.kernel.tables.items():
-            forward[(i - 1) * nn:i * nn, (j - 1) * nn:j * nn] -= tab * w[None, :]
-        for (i, j), tab in theta.tables.items():
-            backward[(i - 1) * nn:i * nn, (j - 1) * nn:j * nn] -= tab * w[None, :]
-        assert np.max(np.abs(backward @ forward - np.eye(dim))) <= 1e-10
+        assert dense_identity_error(op, theta) <= 1e-10
+        assert theta.identity_error(op) <= 1e-10
 
 
 class TestFeedback:
@@ -301,3 +293,47 @@ def test_compiled_fredholm_matches_reference(case, seed):
     assert np.max(np.abs(out - feedback_H(law, state))) <= 1e-13 * state.sup_norm()
     assert out[0] == 0.0
     assert np.all(law.evaluate(StateVector.zeros(system.n, system.m, grid)) == 0.0)
+
+
+def impulse_inverse_tables(op):
+    """The inverse kernel read off impulse columns pushed through the forward
+    substitution: the reference for the block recursion."""
+    nn, w = op.grid.n_nodes, op.grid.trapezoid_weights()
+    tables = {}
+    for j in range(1, op.m):
+        batch = np.zeros((op.m, nn, nn))
+        batch[j - 1] = np.eye(nn)
+        out = op._invert_data(batch)
+        for i in range(j + 1, op.m + 1):
+            theta = -out[i - 1] / w[None, :]
+            if np.any(theta):
+                tables[(i, j)] = theta
+    return tables
+
+
+def dense_identity_error(op, theta):
+    """sup |(I - Theta_w)(I - K_w) - I| from the assembled (mN)^2 matrices."""
+    nn, w = op.grid.n_nodes, op.grid.trapezoid_weights()
+    dim = op.m * nn
+    forward = np.eye(dim)
+    backward = np.eye(dim)
+    for (i, j), tab in op.kernel.tables.items():
+        forward[(i - 1) * nn:i * nn, (j - 1) * nn:j * nn] -= tab * w[None, :]
+    for (i, j), tab in theta.tables.items():
+        backward[(i - 1) * nn:i * nn, (j - 1) * nn:j * nn] -= tab * w[None, :]
+    return float(np.max(np.abs(backward @ forward - np.eye(dim))))
+
+
+@given(case=cascade_systems())
+@example(case=FOUR_LEVEL_CASE)
+@settings(max_examples=40, deadline=None)
+def test_block_inverse_matches_dense_reference(case):
+    system, g, grid = case
+    op = IntegralOperator.from_kernel(build_kernel(system, g, grid))
+    theta = inverse_kernel(op)
+    reference = impulse_inverse_tables(op)
+    assert theta.tables.keys() == reference.keys()
+    for key, tab in reference.items():
+        assert np.array_equal(theta.tables[key], tab)
+        assert np.array_equal(np.signbit(theta.tables[key]), np.signbit(tab))
+    assert abs(theta.identity_error(op) - dense_identity_error(op, theta)) <= 1e-14
