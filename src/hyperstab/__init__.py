@@ -35,8 +35,6 @@ from .system_model import (
     StateVector,
     naive_time,
     optimal_time,
-    phi,
-    phi_inverse,
     transit_time,
     validate_system,
 )
@@ -45,7 +43,6 @@ from .transforms import (
     IntegralOperator,
     InverseKernel,
     apply_fredholm,
-    feedback_H,
     inverse_kernel,
     invert_fredholm,
 )

@@ -27,7 +27,6 @@ for the floats and :func:`write_csv` to stream the lines.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -54,7 +53,6 @@ __all__ = [
     "write_csv",
     "kernel_rows",
     "write_kernel_tables_csv",
-    "read_kernel_tables_csv",
 ]
 
 
@@ -386,23 +384,3 @@ def write_kernel_tables_csv(
 ) -> None:
     """Emit ``i,j,x,y,value`` rows, row-major over (x, y) nodes."""
     write_csv(path, KERNEL_HEADER, kernel_rows(tables, grid))
-
-
-def read_kernel_tables_csv(path: str | Path, grid: Grid) -> dict[tuple[int, int], np.ndarray]:
-    """Inverse of :func:`write_kernel_tables_csv` for the same grid."""
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    nn = grid.n_nodes
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != list(KERNEL_HEADER):
-            raise ValueError(f"unexpected kernel CSV header {header}")
-        for row in rd:
-            i, j = int(row[0]), int(row[1])
-            key = (i, j)
-            if key not in tables:
-                tables[key] = np.empty((nn, nn))
-            p = int(round(float(row[2]) * grid.n_cells))
-            q = int(round(float(row[3]) * grid.n_cells))
-            tables[key][p, q] = float(row[4])
-    return tables

@@ -35,6 +35,8 @@ resolved scenario deterministic.
 
 from __future__ import annotations
 
+import csv
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,7 +94,6 @@ class Scenario:
     seed: int
     snapshot_stride: int
     tolerances: dict[str, float] = field(default_factory=dict)
-    base_dir: Path = Path(".")
 
     def tol(self, key: str) -> float:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
@@ -134,23 +135,42 @@ class Scenario:
         return StateVector(grid, self.m, data)
 
     def load_riesz_tables(self, grid: Grid) -> np.ndarray:
+        """Node tables f_ij of the riesz law, shape (m, n, nodes), from the
+        ``i,j,y,value`` rows of its file; y snaps to the nearest node.
+
+        Raises :class:`ScenarioError` naming the file and line of every row
+        with i outside 1..m, j outside 1..n, y outside [0, 1] or a field that
+        is not a finite number.
+        """
         tables = np.zeros((self.m, self.n, grid.n_nodes))
         if self.riesz_path is None:
             return tables
-        import csv as _csv
-
+        where = f"feedback: riesz file {self.riesz_path}"
+        bad: list[str] = []
         with open(self.riesz_path, newline="") as fh:
-            rd = _csv.reader(fh)
-            header = next(rd)
+            rd = csv.reader(fh)
+            header = next(rd, None)
             if header != ["i", "j", "y", "value"]:
-                raise ScenarioError(
-                    [f"feedback: riesz file {self.riesz_path} has header {header}, "
-                     "expected i,j,y,value"]
-                )
+                raise ScenarioError([f"{where} has header {header}, expected i,j,y,value"])
             for row in rd:
-                i, j = int(row[0]), int(row[1])
-                q = int(round(float(row[2]) * grid.n_cells))
-                tables[i - 1, j - 1, q] = float(row[3])
+                if not row:
+                    continue
+                line = f"{where} line {rd.line_num}"
+                try:
+                    i, j, y, value = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+                    numeric = len(row) == 4 and math.isfinite(value)
+                except (ValueError, IndexError):
+                    numeric = False
+                if not numeric:
+                    bad.append(f"{line}: expected integers i, j and finite numbers y, value, "
+                               f"got {row}")
+                elif not (1 <= i <= self.m and 1 <= j <= self.n and 0.0 <= y <= 1.0):
+                    bad.append(f"{line}: need 1 <= i <= {self.m}, 1 <= j <= {self.n} "
+                               f"and 0 <= y <= 1, got {row}")
+                else:
+                    tables[i - 1, j - 1, int(round(y * grid.n_cells))] = value
+        if bad:
+            raise ScenarioError(bad)
         return tables
 
 
@@ -415,7 +435,6 @@ def load_scenario(path: str | Path) -> Scenario:
         seed=seed,
         snapshot_stride=stride,
         tolerances=tolerances,
-        base_dir=base,
     )
 
     # the assembled objects enforce the structural invariants; surface any
@@ -425,9 +444,8 @@ def load_scenario(path: str | Path) -> Scenario:
         scn.cascade()
     except ValueError as exc:
         raise ScenarioError([str(exc)]) from exc
-    report = validate_system(system, scn.grid())
-    if not report.ok:
-        raise ScenarioError(
-            [f"speeds: {v.message} (node {v.node})" for v in report.violations[:8]]
-        )
+    try:
+        validate_system(system, scn.grid())
+    except ValueError as exc:
+        raise ScenarioError([f"speeds: {line}" for line in str(exc).splitlines()]) from exc
     return scn

@@ -101,7 +101,6 @@ class Trajectory:
     """Time stamps, per-stamp norms, and strided snapshots of one run."""
 
     grid: Grid
-    m: int
     dt: float
     times: np.ndarray  # every stamp
     sup: np.ndarray  # (stamps, 3): minus, plus, total
@@ -131,13 +130,13 @@ def simulate(
     ``upwind`` defaults to dt = 0.9 dx / max|speed| and requires the usual
     step bound; ``integer_shift`` requires a caller-supplied dt under which
     every (necessarily constant) speed moves a whole number of cells per
-    step.
+    step.  Snapshots are kept at t = 0, every ``snapshot_stride`` >= 1 steps
+    and at the last step.
     """
     system = spec.system
-    report = validate_system(system, grid)
-    if not report.ok:
-        v = report.first
-        raise ValueError(f"invalid system at node {v.node}: {v.message}")
+    validate_system(system, grid)
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     if u0.grid.n_cells != grid.n_cells:
         raise ValueError("initial state lives on a different grid")
     if u0.m != system.m or u0.n != system.n:
@@ -245,9 +244,7 @@ def simulate(
             snap_times.append(times[step + 1])
             snapshots.append(StateVector(grid, m, cur.copy()))
 
-    return Trajectory(
-        grid, m, dt, times, sup, l2, np.asarray(snap_times), snapshots
-    )
+    return Trajectory(grid, dt, times, sup, l2, np.asarray(snap_times), snapshots)
 
 
 def vanish_time(traj: Trajectory, tol_rel: float) -> float | None:

@@ -7,10 +7,13 @@ spatial grid, speed profiles, the characteristic travel-time maps
 
     phi_i(x) = integral_0^x dxi / lambda_i(xi),   i = 1..m,
 
-their inverses, and the two control-time functionals built from transit
-times: the optimal time (slowest right transit plus slowest-exiting left
-transit) and the naive time (right transit plus the sum of all left
-transits).  :func:`block_norms` is the one routine for every state norm.
+built by :func:`phi_map` as one :class:`PhiMap` that also carries the exact
+inverse, and the two control-time functionals built from transit times: the
+optimal time (slowest right transit plus slowest-exiting left transit) and
+the naive time (right transit plus the sum of all left transits).
+:func:`validate_system` is the one speed check: it raises ``ValueError``
+listing the violated nodes.  :func:`block_norms` is the one routine for every
+state norm.
 
 Component indices in the public API are 1-based; arrays are 0-based
 internally.  All types are immutable after construction and all operations
@@ -31,13 +34,10 @@ __all__ = [
     "StateVector",
     "BLOCKS",
     "block_norms",
-    "Violation",
-    "ValidationReport",
     "PhiRangeError",
     "PhiMap",
     "validate_system",
-    "phi",
-    "phi_inverse",
+    "phi_map",
     "optimal_time",
     "naive_time",
     "transit_time",
@@ -193,50 +193,31 @@ class HyperbolicSystem:
         return np.stack([lam(x) for lam in self.speeds])
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken invariant, located at a grid node."""
-
-    node: int
-    x: float
-    components: tuple[int, ...]
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-    @property
-    def first(self) -> Violation | None:
-        return self.violations[0] if self.violations else None
-
-
-def validate_system(system: HyperbolicSystem, grid: Grid) -> ValidationReport:
+def validate_system(system: HyperbolicSystem, grid: Grid) -> None:
     """Check sign and strict-ordering invariants at every grid node.
 
     Requires lambda_1(x) < ... < lambda_m(x) < 0 < lambda_{m+1}(x) < ... <
-    lambda_n(x) at each node.  Returns every violated node with the
-    component indices involved.
+    lambda_n(x) at each node.  Raises ValueError with one line per violation,
+    naming the node and the speeds involved: the first 8, then a count of the
+    rest.
     """
     lam = system.speed_values(grid.nodes)
     n, m = system.n, system.m
-    bad: list[Violation] = []
+    bad: list[str] = []
     for k, x in enumerate(grid.nodes):
         col = lam[:, k]
         for i in range(n - 1):
             if not col[i] < col[i + 1]:
-                bad.append(Violation(k, x, (i + 1, i + 2),
-                                     f"lambda_{i + 1}({x:g})={col[i]:g} not below "
-                                     f"lambda_{i + 2}({x:g})={col[i + 1]:g}"))
+                bad.append(f"lambda_{i + 1}({x:g})={col[i]:g} not below "
+                           f"lambda_{i + 2}({x:g})={col[i + 1]:g} (node {k})")
         if not col[m - 1] < 0.0:
-            bad.append(Violation(k, x, (m,),
-                                 f"lambda_{m}({x:g})={col[m - 1]:g} not negative"))
+            bad.append(f"lambda_{m}({x:g})={col[m - 1]:g} not negative (node {k})")
         if not col[m] > 0.0:
-            bad.append(Violation(k, x, (m + 1,),
-                                 f"lambda_{m + 1}({x:g})={col[m]:g} not positive"))
-    return ValidationReport(not bad, tuple(bad))
+            bad.append(f"lambda_{m + 1}({x:g})={col[m]:g} not positive (node {k})")
+    if len(bad) > 8:
+        bad[8:] = [f"and {len(bad) - 8} more violations"]
+    if bad:
+        raise ValueError("\n".join(bad))
 
 
 @dataclass(frozen=True)
@@ -288,17 +269,6 @@ def phi_map(system: HyperbolicSystem, i: int, grid: Grid) -> PhiMap:
         ([0.0], np.cumsum(0.5 * grid.dx * (recip[1:] + recip[:-1])))
     )
     return PhiMap(grid.nodes, vals)
-
-
-def phi(system: HyperbolicSystem, i: int, x, grid: Grid):
-    """Travel-time coordinate phi_i(x); strictly decreasing, phi_i(0) = 0."""
-    out = phi_map(system, i, grid)(x)
-    return out if np.asarray(x).ndim else float(out)
-
-
-def phi_inverse(system: HyperbolicSystem, i: int, s, grid: Grid):
-    """Position x with phi_i(x) = s, exact on the piecewise-linear map."""
-    return phi_map(system, i, grid).inverse(s)
 
 
 def transit_time(profile: Profile, grid: Grid) -> float:

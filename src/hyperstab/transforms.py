@@ -10,14 +10,15 @@ shape, its blocks given by a recursion over the forward blocks.
 
 Every non-zero boundary feedback is one weight table W of shape
 (m, n, nodes), with the trapezoid weights folded in, applied as
-U_i = sum_jk W_ijk u_j(x_k).  ``zero`` has no table; ``riesz`` multiplies loaded node tables by the
-trapezoid weights; ``fredholm``, the law that realizes the optimal vanishing
-time, is minus the kernel trace at x = 1 integrated against the
-inverse-transformed state.  Because the inverse is linear, that law is
-compiled once: its x = 1 rows are back-substituted through the transposed
-block-triangular transform, O(pairs m N^2) once, after which each step costs
-one O(m n N) contraction.  :func:`feedback_H` keeps the uncompiled route
-(forward substitution, then the trace integral) as the reference.
+U_i = sum_jk W_ijk u_j(x_k).  ``zero`` has no table; ``riesz`` multiplies
+loaded node tables by the trapezoid weights; ``fredholm``, the law that
+realizes the optimal vanishing time, is minus the kernel trace at x = 1
+integrated against the inverse-transformed state.  Because the inverse is
+linear, that law is compiled once: its x = 1 rows are back-substituted
+through the transposed block-triangular transform, O(pairs m N^2) once,
+after which each step costs one O(m n N) contraction.  The uncompiled route
+(forward substitution, then the trace integral) lives in the tests as the
+reference the compiled table is checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "apply_fredholm",
     "invert_fredholm",
     "inverse_kernel",
-    "feedback_H",
 ]
 
 
@@ -160,13 +160,11 @@ class FeedbackLaw:
     with ``weights`` of shape (m, n, nodes) and the trapezoid weights already
     folded in, so :meth:`evaluate` is one contraction per step.  ``zero``
     carries no table.  ``riesz`` is loaded node tables f_ij times the
-    trapezoid weights.  ``fredholm`` is compiled once by :meth:`fredholm` and
-    keeps its operator, which :func:`feedback_H` uses as the reference route.
+    trapezoid weights.  ``fredholm`` is compiled once by :meth:`fredholm`.
     """
 
     variant: str
     weights: np.ndarray | None = None
-    operator: IntegralOperator | None = None
 
     def __post_init__(self):
         if self.variant not in ("zero", "riesz", "fredholm"):
@@ -204,7 +202,7 @@ class FeedbackLaw:
                 kw = operator.weighted.get((i, j))
                 if kw is not None:
                     weights[:, j - 1] += weights[:, i - 1] @ kw
-        return cls("fredholm", weights, operator)
+        return cls("fredholm", weights)
 
     def evaluate(self, state: StateVector) -> np.ndarray:
         if self.weights is None:
@@ -215,22 +213,3 @@ class FeedbackLaw:
                 f"table's {self.weights.shape[2] - 1} cells"
             )
         return np.einsum("ijk,jk->i", self.weights, state.data)
-
-
-def feedback_H(law: FeedbackLaw, state: StateVector) -> np.ndarray:
-    """Optimal-time feedback: invert the transform, integrate the x=1 trace.
-
-    Component i gets minus the trapezoid integral of k_ij(1, .) against the
-    recovered lower components; component 1 has no kernel row and is 0.
-    This is the uncompiled route, kept as the reference that the compiled
-    :meth:`FeedbackLaw.fredholm` table is checked against.
-    """
-    if law.variant != "fredholm":
-        raise ValueError(f"feedback_H needs the fredholm variant, got {law.variant!r}")
-    op = law.operator
-    op._check(state)
-    z = op._invert_data(state.data)
-    out = np.zeros(op.m)
-    for (i, j), kw in op.weighted.items():
-        out[i - 1] -= kw[-1, :] @ z[j - 1]
-    return out

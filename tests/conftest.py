@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from hyperstab import CascadeMatrix, Grid, HyperbolicSystem, Profile, StateVector
+from hyperstab import (
+    CascadeMatrix,
+    Grid,
+    HyperbolicSystem,
+    IntegralOperator,
+    Profile,
+    StateVector,
+    invert_fredholm,
+)
 
 
 @pytest.fixture
@@ -42,6 +50,19 @@ def smooth_state(grid: Grid, n: int, m: int, seed: int) -> StateVector:
     amps = rng.uniform(-1.0, 1.0, n)
     arch = np.sin(np.pi * grid.nodes) ** 2
     return StateVector(grid, m, np.outer(amps, arch))
+
+
+def feedback_H(op: IntegralOperator, state: StateVector) -> np.ndarray:
+    """Optimal-time feedback by the uncompiled route: invert the transform by
+    forward substitution, then integrate minus the x = 1 kernel trace against
+    the recovered lower components; component 1 has no kernel row and is 0.
+    The reference the compiled ``FeedbackLaw.fredholm`` table is checked
+    against."""
+    z = invert_fredholm(op, state).data
+    out = np.zeros(op.m)
+    for (i, j), kw in op.weighted.items():
+        out[i - 1] -= kw[-1, :] @ z[j - 1]
+    return out
 
 
 # Values whose text the exported tables must pin: signed zero, the smallest

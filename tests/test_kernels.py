@@ -16,11 +16,7 @@ from hyperstab import (
     kernel_oracle_solve,
     kernel_residual,
 )
-from hyperstab.kernels import (
-    oracle_gap,
-    read_kernel_tables_csv,
-    write_kernel_tables_csv,
-)
+from hyperstab.kernels import oracle_gap, write_kernel_tables_csv
 from tests.conftest import SPECIAL_FLOATS, csv_reference
 
 
@@ -214,19 +210,6 @@ class TestResidual:
         grid = Grid(32)
         kern = build_kernel(s3_system, g, grid)
         assert kernel_residual(s3_system, g, kern, grid) == {}
-
-
-def test_csv_round_trip(tmp_path, s3_system, s3_cascade):
-    grid = Grid(16)
-    kern = build_kernel(s3_system, s3_cascade, grid)
-    path = tmp_path / "kernel.csv"
-    write_kernel_tables_csv(kern.tables, grid, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "i,j,x,y,value"
-    back = read_kernel_tables_csv(path, grid)
-    assert set(back) == set(kern.tables)
-    for key in back:
-        assert np.array_equal(back[key], kern.tables[key])
 
 
 def test_csv_text_format(tmp_path):

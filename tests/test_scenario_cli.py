@@ -18,6 +18,22 @@ def write_cfg(tmp_path, text, name="case.cfg"):
     return p
 
 
+RIESZ_CELLS = 16
+
+
+def riesz_scenario(tmp_path, extra_row=None):
+    """S3 under upwind with riesz feedback f_11 = 1 from ``f.csv``, which
+    ends in ``extra_row`` if one is given."""
+    rows = ["i,j,y,value"] + [f"1,1,{q / RIESZ_CELLS},1.0" for q in range(RIESZ_CELLS + 1)]
+    if extra_row is not None:
+        rows.append(extra_row)
+    (tmp_path / "f.csv").write_text("\n".join(rows) + "\n")
+    cfg = S3_TEXT.replace("feedback = fredholm", "feedback = riesz:f.csv")
+    cfg = cfg.replace("grid.cells = 200", f"grid.cells = {RIESZ_CELLS}")
+    cfg = cfg.replace("scheme = integer_shift", "scheme = upwind")
+    return write_cfg(tmp_path, cfg)
+
+
 class TestLoadScenario:
     def test_bundled_s3_valid(self):
         scn = load_scenario(SCENARIOS / "s3.cfg")
@@ -105,19 +121,35 @@ class TestLoadScenario:
         assert any("fredholm" in v and "Volterra" in v for v in err.value.violations)
 
     def test_riesz_feedback_tables_load(self, tmp_path):
-        rows = ["i,j,y,value"]
-        n_cells = 16
-        for q in range(n_cells + 1):
-            rows.append(f"1,1,{q / n_cells},1.0")
-        (tmp_path / "f.csv").write_text("\n".join(rows) + "\n")
-        cfg = S3_TEXT.replace("feedback = fredholm", "feedback = riesz:f.csv")
-        cfg = cfg.replace("grid.cells = 200", f"grid.cells = {n_cells}")
-        cfg = cfg.replace("scheme = integer_shift", "scheme = upwind")
-        scn = load_scenario(write_cfg(tmp_path, cfg))
+        scn = load_scenario(riesz_scenario(tmp_path))
         tables = scn.load_riesz_tables(scn.grid())
-        assert tables.shape == (2, 3, n_cells + 1)
+        assert tables.shape == (2, 3, RIESZ_CELLS + 1)
         assert np.all(tables[0, 0] == 1.0)
         assert np.all(tables[1] == 0.0)
+
+    @pytest.mark.parametrize("row", [
+        "0,1,0.5,1.0",  # i below 1
+        "3,1,0.5,1.0",  # i above m = 2
+        "1,0,0.5,1.0",  # j below 1
+        "1,4,0.5,1.0",  # j above n = 3
+        "1,1,1.5,1.0",  # y above 1
+        "1,1,-0.1,1.0",  # y below 0
+        "1,x,0.5,1.0",  # non-numeric index
+        "1,1,0.5,one",  # non-numeric value
+        "1,1,0.5,nan",  # non-finite value
+        "1,1,0.5",  # missing field
+    ])
+    def test_riesz_bad_row_names_file_and_line(self, tmp_path, row):
+        scn = load_scenario(riesz_scenario(tmp_path, row))
+        with pytest.raises(ScenarioError) as err:
+            scn.load_riesz_tables(scn.grid())
+        [violation] = err.value.violations
+        assert f"{tmp_path / 'f.csv'} line {RIESZ_CELLS + 3}:" in violation
+
+    def test_riesz_bad_row_exits_2(self, tmp_path, capsys):
+        path = riesz_scenario(tmp_path, "1,1,1.5,1.0")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"line {RIESZ_CELLS + 3}" in capsys.readouterr().err
 
 
 class TestCliSynthesize:

@@ -17,7 +17,6 @@ from hyperstab import (
     build_kernel,
     build_z_source,
     commutation_check,
-    feedback_H,
     gamma_source,
     march_targets,
     naive_time,
@@ -26,7 +25,13 @@ from hyperstab import (
     vanish_time,
 )
 from hyperstab.simulator import Trajectory, write_norms_csv, write_trajectory_csv
-from tests.conftest import SPECIAL_FLOATS, csv_reference, random_state, smooth_state
+from tests.conftest import (
+    SPECIAL_FLOATS,
+    csv_reference,
+    feedback_H,
+    random_state,
+    smooth_state,
+)
 
 
 def single_left_system():
@@ -124,6 +129,14 @@ class TestSchemeValidation:
             simulate(spec, StateVector.zeros(3, 2, grid), 0.5, grid,
                      scheme="integer_shift", dt=grid.dx)
 
+    def test_snapshot_stride_below_one_rejected(self, s3_system, s3_cascade):
+        grid = Grid(16)
+        spec = ClosedLoopSpec.z_target(s3_system, build_z_source(s3_cascade))
+        for stride in (0, -3):
+            with pytest.raises(ValueError, match="snapshot_stride"):
+                simulate(spec, random_state(grid, 3, 2, 0), 0.5, grid,
+                         scheme="integer_shift", dt=grid.dx, snapshot_stride=stride)
+
 
 class TestZTarget:
     def test_block_vanishing_order(self, s3_system, s3_cascade):
@@ -219,6 +232,35 @@ class TestUpwind:
         assert np.array_equal(traj.snapshots[-1].data, ref)
 
 
+class TestIntegerShift:
+    def test_one_step_matches_componentwise_reference(self, s3_system, s3_cascade):
+        # S3 with dt = dx: component 1 moves two cells, so the step order
+        # (fill, source, q-fill, x = 1 overwrite) shows in the cell next to x = 1
+        grid = Grid(24)
+        nn = grid.n_nodes
+        op = IntegralOperator.from_kernel(build_kernel(s3_system, s3_cascade, grid))
+        law = FeedbackLaw.fredholm(op)
+        src = gamma_source(s3_cascade)
+        u = np.random.default_rng(4).uniform(-1, 1, (3, nn))
+        dt = grid.dx
+        traj = simulate(ClosedLoopSpec.gamma_target(s3_system, src, law),
+                        StateVector(grid, 2, u), dt, grid, scheme="integer_shift", dt=dt)
+        assert traj.times.size == 2
+
+        fb = law.evaluate(StateVector(grid, 2, u))
+        ref = np.empty_like(u)
+        ref[0, :nn - 2] = u[0, 2:]
+        ref[0, nn - 2:] = fb[0]
+        ref[1, :nn - 1] = u[1, 1:]
+        ref[1, nn - 1:] = fb[1]
+        ref[2, 1:] = u[2, :nn - 1]
+        ref[2, :1] = 0.0
+        ref += dt * np.einsum("imk,m->ik", src.matrix.tabulate(grid.nodes), u[:2, 0])
+        ref[2, :1] = s3_system.q @ ref[:2, 0]
+        ref[:2, -1] = fb
+        assert np.array_equal(traj.snapshots[-1].data, ref)
+
+
 class TestGammaTarget:
     def test_optimal_feedback_beats_naive(self, s3_system, s3_cascade):
         grid = Grid(128)
@@ -250,7 +292,7 @@ class TestGammaTarget:
         assert len(traj.snapshots) == len(traj.times)
         for prev, nxt in zip(traj.snapshots, traj.snapshots[1:]):
             assert np.array_equal(nxt.data[:2, -1], law.evaluate(prev))
-            assert np.max(np.abs(nxt.data[:2, -1] - feedback_H(law, prev))) <= 1e-14
+            assert np.max(np.abs(nxt.data[:2, -1] - feedback_H(op, prev))) <= 1e-14
 
     def test_naive_gap_with_component_one_data(self, s3_system, s3_cascade):
         # data concentrated in the first component: without feedback the
@@ -407,7 +449,7 @@ class TestTrajectoryOutput:
                  for _ in range(3)]
         times = np.array(SPECIAL_FLOATS[:4])
         norms = np.array([[next(cycle) for _ in range(3)] for _ in range(8)])
-        traj = Trajectory(grid, 1, 0.1, times, norms[:4], norms[4:],
+        traj = Trajectory(grid, 0.1, times, norms[:4], norms[4:],
                           np.array(SPECIAL_FLOATS[-3:]), snaps)
         tpath = tmp_path / "trajectory.csv"
         npath = tmp_path / "norms.csv"

@@ -13,12 +13,10 @@ from hyperstab import (
     StateVector,
     naive_time,
     optimal_time,
-    phi,
-    phi_inverse,
     transit_time,
     validate_system,
 )
-from hyperstab.system_model import block_norms
+from hyperstab.system_model import block_norms, phi_map
 
 
 def make_system(*speeds, m, q=None):
@@ -33,23 +31,25 @@ def make_system(*speeds, m, q=None):
 
 class TestValidate:
     def test_s3_constants_valid(self, s3_system):
-        assert validate_system(s3_system, Grid(16)).ok
+        validate_system(s3_system, Grid(16))
 
     def test_equal_speeds_rejected(self):
+        # equal at all 17 nodes: the first 8 are listed, then a count
         sys_ = make_system(-1, -1, 1, m=2)
-        report = validate_system(sys_, Grid(16))
-        assert not report.ok
-        first = report.first
-        assert first.node == 0
-        assert first.components == (1, 2)
+        with pytest.raises(ValueError) as err:
+            validate_system(sys_, Grid(16))
+        lines = str(err.value).splitlines()
+        assert lines[0] == "lambda_1(0)=-1 not below lambda_2(0)=-1 (node 0)"
+        assert lines[7].endswith("(node 7)")
+        assert lines[8:] == ["and 9 more violations"]
 
     def test_sign_change_rejected(self):
         # middle speed crosses zero at x = 0.5
         sys_ = make_system(Profile.constant(-1), Profile.affine(-0.5, 1.0),
                            Profile.constant(1), m=2)
-        report = validate_system(sys_, Grid(16))
-        assert not report.ok
-        assert any(v.components == (2,) for v in report.violations)
+        with pytest.raises(ValueError) as err:
+            validate_system(sys_, Grid(16))
+        assert str(err.value).splitlines()[0] == "lambda_2(0.5)=0 not negative (node 8)"
 
     def test_degenerate_m_rejected(self):
         with pytest.raises(ValueError):
@@ -64,20 +64,20 @@ class TestPhi:
     def test_constant_speed(self):
         sys_ = make_system(-2, -1, 1, m=2)
         grid = Grid(64)
-        assert phi(sys_, 1, 1.0, grid) == pytest.approx(-0.5, abs=1e-14)
-        assert phi(sys_, 2, 0.0, grid) == 0.0
+        assert phi_map(sys_, 1, grid)(1.0) == pytest.approx(-0.5, abs=1e-14)
+        assert phi_map(sys_, 2, grid)(0.0) == 0.0
 
     def test_affine_speed_matches_log(self):
         # speed -1 - x integrates to -log(1 + x)
         sys_ = make_system(Profile.constant(-2), Profile.affine(-1, -1),
                            Profile.constant(1), m=2)
         grid = Grid(64)
-        assert abs(phi(sys_, 2, 1.0, grid) + math.log(2)) <= grid.dx**2
+        assert abs(phi_map(sys_, 2, grid)(1.0) + math.log(2)) <= grid.dx**2
 
     def test_out_of_block_rejected(self):
         sys_ = make_system(-2, -1, 1, m=2)
         with pytest.raises(ValueError):
-            phi(sys_, 3, 0.5, Grid(16))
+            phi_map(sys_, 3, Grid(16))
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -86,20 +86,20 @@ class TestPhi:
         grid = Grid(32)
         samples = -0.5 - rng.uniform(0.0, 2.0, grid.n_nodes)
         sys_ = make_system(Profile.tabulated(samples), Profile.constant(1), m=1)
-        vals = phi(sys_, 1, grid.nodes, grid)
+        vals = phi_map(sys_, 1, grid)(grid.nodes)
         assert np.all(np.diff(vals) < 0)
 
     def test_inverse_constant(self):
         sys_ = make_system(-2, -1, 1, m=2)
-        grid = Grid(64)
-        assert phi_inverse(sys_, 2, -0.3, grid) == pytest.approx(0.3, abs=1e-10)
-        assert phi_inverse(sys_, 2, 0.0, grid) == pytest.approx(0.0, abs=1e-12)
+        pm = phi_map(sys_, 2, Grid(64))
+        assert pm.inverse(-0.3) == pytest.approx(0.3, abs=1e-10)
+        assert pm.inverse(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_affine_log(self):
         sys_ = make_system(Profile.constant(-2), Profile.affine(-1, -1),
                            Profile.constant(1), m=2)
         grid = Grid(64)
-        x = phi_inverse(sys_, 2, -math.log(2), grid)
+        x = phi_map(sys_, 2, grid).inverse(-math.log(2))
         assert abs(x - 1.0) <= grid.dx**2
 
     def test_inverse_round_trip_on_nodes(self):
@@ -107,17 +107,17 @@ class TestPhi:
                            Profile.constant(1), m=2)
         grid = Grid(32)
         for i in (1, 2):
-            vals = phi(sys_, i, grid.nodes, grid)
-            back = phi_inverse(sys_, i, vals, grid)
+            pm = phi_map(sys_, i, grid)
+            back = pm.inverse(pm(grid.nodes))
             assert np.max(np.abs(back - grid.nodes)) <= 1e-10
 
     def test_inverse_out_of_range(self):
         sys_ = make_system(-2, -1, 1, m=2)
-        grid = Grid(16)
+        pm = phi_map(sys_, 2, Grid(16))
         with pytest.raises(PhiRangeError):
-            phi_inverse(sys_, 2, -1.5, grid)
+            pm.inverse(-1.5)
         with pytest.raises(PhiRangeError):
-            phi_inverse(sys_, 2, 0.25, grid)
+            pm.inverse(0.25)
 
 
 class TestControlTimes:
@@ -158,7 +158,7 @@ class TestControlTimes:
         speed = Profile.affine(-1, -1)
         exact = math.log(2)
         sys_ = make_system(speed, Profile.constant(1), m=1)
-        errs_phi = [abs(phi(sys_, 1, 1.0, Grid(N)) + exact) for N in (16, 32, 64)]
+        errs_phi = [abs(phi_map(sys_, 1, Grid(N))(1.0) + exact) for N in (16, 32, 64)]
         errs_time = [
             abs(transit_time(speed, Grid(N)) - exact) for N in (16, 32, 64)
         ]

@@ -13,11 +13,10 @@ from hyperstab import (
     StateVector,
     apply_fredholm,
     build_kernel,
-    feedback_H,
     inverse_kernel,
     invert_fredholm,
 )
-from tests.conftest import random_state
+from tests.conftest import feedback_H, random_state
 
 
 def s3_operator(s3_system, s3_cascade, n_cells=64) -> IntegralOperator:
@@ -161,8 +160,10 @@ class TestFeedback:
         op = s3_operator(s3_system, s3_cascade)
         law = FeedbackLaw.fredholm(op)
         for seed in range(3):
-            out = feedback_H(law, random_state(op.grid, 3, 2, seed))
+            state = random_state(op.grid, 3, 2, seed)
+            out = law.evaluate(state)
             assert out[0] == 0.0
+            assert np.max(np.abs(out - feedback_H(op, state))) <= 1e-13 * state.sup_norm()
 
     def test_constant_state_value(self, s3_system, s3_cascade):
         # k21(1, y) = 1/2 for all y, z_1 = 1: H_2 = -1/2 (trapezoid is exact)
@@ -171,12 +172,12 @@ class TestFeedback:
         gam = StateVector(grid, 2, np.vstack(
             [np.ones(grid.n_nodes), np.zeros(grid.n_nodes), np.zeros(grid.n_nodes)]
         ))
-        out = feedback_H(FeedbackLaw.fredholm(op), gam)
-        assert out == pytest.approx([0.0, -0.5], abs=1e-12)
+        assert FeedbackLaw.fredholm(op).evaluate(gam) == pytest.approx([0.0, -0.5], abs=1e-12)
+        assert feedback_H(op, gam) == pytest.approx([0.0, -0.5], abs=1e-12)
 
     def test_zero_state_zero_feedback(self, s3_system, s3_cascade):
         op = s3_operator(s3_system, s3_cascade)
-        out = feedback_H(FeedbackLaw.fredholm(op), StateVector.zeros(3, 2, op.grid))
+        out = FeedbackLaw.fredholm(op).evaluate(StateVector.zeros(3, 2, op.grid))
         assert np.all(out == 0.0)
 
     def test_both_routes_agree(self, s3_system, s3_cascade):
@@ -205,14 +206,13 @@ class TestFeedback:
             z = random_state(op.grid, 3, 2, seed + 40)
             z.data[:2, -1] = 0.0
             gam = apply_fredholm(op, z)
-            fb = feedback_H(law, gam)
+            fb = law.evaluate(gam)
             assert np.max(np.abs(gam.data[:2, -1] - fb)) <= 1e-12
 
     def test_variant_mismatch_rejected(self, s3_system, s3_cascade):
         op = s3_operator(s3_system, s3_cascade)
-        state = StateVector.zeros(3, 2, op.grid)
         with pytest.raises(ValueError):
-            feedback_H(FeedbackLaw.zero(), state)
+            FeedbackLaw("fredholm")
         with pytest.raises(ValueError):
             FeedbackLaw.riesz(np.zeros((2, 3, op.grid.n_nodes + 1)), op.grid)
 
@@ -290,7 +290,7 @@ def test_compiled_fredholm_matches_reference(case, seed):
     law = FeedbackLaw.fredholm(op)
     state = random_state(grid, system.n, system.m, seed)
     out = law.evaluate(state)
-    assert np.max(np.abs(out - feedback_H(law, state))) <= 1e-13 * state.sup_norm()
+    assert np.max(np.abs(out - feedback_H(op, state))) <= 1e-13 * state.sup_norm()
     assert out[0] == 0.0
     assert np.all(law.evaluate(StateVector.zeros(system.n, system.m, grid)) == 0.0)
 
