@@ -340,25 +340,18 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
 
 
 def _run_one(cmd: str, path: str, out_root: Path, grids: list[int] | None) -> tuple[int, list[str]]:
+    name = Path(path).stem
     try:
         scn = load_scenario(path)
+        name, outdir = scn.name, out_root / scn.name
+        if cmd == "sweep":
+            return _cmd_sweep(scn, outdir, grids or [])
+        return {"synthesize": _cmd_synthesize, "simulate": _cmd_simulate,
+                "verify": _cmd_verify}[cmd](scn, outdir)
     except ScenarioError as exc:
-        return 2, [f"[{Path(path).stem}] configuration error:"] + [
-            f"[{Path(path).stem}]   {v}" for v in exc.violations
-        ]
-    outdir = out_root / scn.name
-    try:
-        if cmd == "synthesize":
-            return _cmd_synthesize(scn, outdir)
-        if cmd == "simulate":
-            return _cmd_simulate(scn, outdir)
-        if cmd == "verify":
-            return _cmd_verify(scn, outdir)
-        return _cmd_sweep(scn, outdir, grids or [])
-    except ScenarioError as exc:
-        return 2, [f"[{scn.name}] configuration error: {exc}"]
+        return 2, [f"[{name}] configuration error:"] + [f"[{name}]   {v}" for v in exc.violations]
     except (ValueError, CFLError, OSError) as exc:
-        return 2, [f"[{scn.name}] error: {exc}"]
+        return 2, [f"[{name}] error: {exc}"]
 
 
 def main(argv: list[str] | None = None) -> int:

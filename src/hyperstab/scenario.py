@@ -140,13 +140,15 @@ class Scenario:
 
         Raises :class:`ScenarioError` naming the file and line of every row
         with i outside 1..m, j outside 1..n, y outside [0, 1] or a field that
-        is not a finite number.
+        is not a finite number, and of every row that snaps to the node an
+        earlier row of the same (i, j) took.
         """
         tables = np.zeros((self.m, self.n, grid.n_nodes))
         if self.riesz_path is None:
             return tables
         where = f"feedback: riesz file {self.riesz_path}"
         bad: list[str] = []
+        taken: dict[tuple[int, int, int], int] = {}  # (i, j, node) -> line
         with open(self.riesz_path, newline="") as fh:
             rd = csv.reader(fh)
             header = next(rd, None)
@@ -168,7 +170,12 @@ class Scenario:
                     bad.append(f"{line}: need 1 <= i <= {self.m}, 1 <= j <= {self.n} "
                                f"and 0 <= y <= 1, got {row}")
                 else:
-                    tables[i - 1, j - 1, int(round(y * grid.n_cells))] = value
+                    node = int(round(y * grid.n_cells))
+                    first = taken.setdefault((i, j, node), rd.line_num)
+                    if first != rd.line_num:
+                        bad.append(f"{line}: entry ({i}, {j}) snaps to node {node} of N = "
+                                   f"{grid.n_cells}, which line {first} already set")
+                    tables[i - 1, j - 1, node] = value
         if bad:
             raise ScenarioError(bad)
         return tables
@@ -248,33 +255,21 @@ def load_scenario(path: str | Path) -> Scenario:
     if bad:
         raise ScenarioError(bad)
 
-    def take_int(key, default=None, required=False):
+    def take(key, cast, default=None, required=False):
         if key not in kv:
             if required:
                 bad.append(f"{key}: required field missing")
             return default
         raw = kv.pop(key)
         try:
-            return int(raw)
+            return cast(raw)
         except ValueError:
-            bad.append(f"{key}: not an integer ({raw!r})")
-            return default
-
-    def take_float(key, default=None, required=False):
-        if key not in kv:
-            if required:
-                bad.append(f"{key}: required field missing")
-            return default
-        raw = kv.pop(key)
-        try:
-            return float(raw)
-        except ValueError:
-            bad.append(f"{key}: not a number ({raw!r})")
+            bad.append(f"{key}: not {'an integer' if cast is int else 'a number'} ({raw!r})")
             return default
 
     name = kv.pop("name", path.stem)
-    n = take_int("system.n", required=True)
-    m = take_int("system.m", required=True)
+    n = take("system.n", int, required=True)
+    m = take("system.m", int, required=True)
     if n is not None and n < 2:
         bad.append(f"system.n: need n >= 2, got {n}")
     if n is not None and m is not None and not 1 <= m <= n - 1:
@@ -337,10 +332,10 @@ def load_scenario(path: str | Path) -> Scenario:
         elif feedback_kind not in _FEEDBACKS:
             bad.append(f"feedback: expected one of {_FEEDBACKS}, got {feedback_value!r}")
 
-    grid_cells = take_int("grid.cells", required=True)
+    grid_cells = take("grid.cells", int, required=True)
     if grid_cells is not None and grid_cells < 8:
         bad.append(f"grid.cells: need at least 8 cells, got {grid_cells}")
-    t_final = take_float("t_final", required=True)
+    t_final = take("t_final", float, required=True)
     if t_final is not None and t_final <= 0:
         bad.append(f"t_final: must be positive, got {t_final}")
 
@@ -361,8 +356,8 @@ def load_scenario(path: str | Path) -> Scenario:
         bad.append("dt: required when scheme = integer_shift")
 
     seed_given = "init.seed" in kv
-    seed = take_int("init.seed", default=0)
-    stride = take_int("snapshot.stride", default=10)
+    seed = take("init.seed", int, default=0)
+    stride = take("snapshot.stride", int, default=10)
     if stride is not None and stride < 1:
         bad.append(f"snapshot.stride: must be >= 1, got {stride}")
 
@@ -373,12 +368,8 @@ def load_scenario(path: str | Path) -> Scenario:
             bad.append(f"{key}: unknown tolerance (choose from "
                        f"{sorted(DEFAULT_TOLERANCES)})")
             kv.pop(key)
-            continue
-        raw = kv.pop(key)
-        try:
-            tolerances[short] = float(raw)
-        except ValueError:
-            bad.append(f"{key}: not a number ({raw!r})")
+        elif (value := take(key, float)) is not None:
+            tolerances[short] = value
 
     for key in kv:
         bad.append(f"{key}: unknown field")

@@ -298,14 +298,19 @@ BLOCKS = ("minus", "plus", "total")
 
 
 def block_norms(data: np.ndarray, m: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sup and trapezoid-L2 norms of each block of ``data``, ordered as
-    :data:`BLOCKS`; ``w`` are the quadrature weights along a row."""
-    mag = np.abs(data)
-    sup = np.array([np.max(mag[:m]), np.max(mag[m:]), np.max(mag)])
-    sq = w * data * data
-    s_minus = float(np.sum(sq[:m]))
-    s_plus = float(np.sum(sq[m:]))
-    return sup, np.sqrt(np.array([s_minus, s_plus, s_minus + s_plus]))
+    """Sup and trapezoid-L2 norms of each block of one state (n, nodes) or
+    of a stack of states (K, n, nodes), ordered as :data:`BLOCKS` along the
+    last axis; ``w`` are the quadrature weights along a row.  Each block of
+    each state is summed as one contiguous row, so a stack gives the same
+    bits as its states one by one."""
+    stack = data.reshape(-1, *data.shape[-2:])
+    k = len(stack)
+    mag, sq = np.abs(stack), w * stack * stack
+    sup_minus, sup_plus = mag[:, :m].reshape(k, -1).max(1), mag[:, m:].reshape(k, -1).max(1)
+    s_minus, s_plus = sq[:, :m].reshape(k, -1).sum(1), sq[:, m:].reshape(k, -1).sum(1)
+    sup = np.stack([sup_minus, sup_plus, np.maximum(sup_minus, sup_plus)], axis=-1)
+    l2 = np.sqrt(np.stack([s_minus, s_plus, s_minus + s_plus], axis=-1))
+    return sup.reshape(data.shape[:-2] + (3,)), l2.reshape(data.shape[:-2] + (3,))
 
 
 @dataclass(frozen=True)

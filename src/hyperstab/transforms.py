@@ -66,9 +66,10 @@ class IntegralOperator:
             )
 
     def _apply_data(self, data: np.ndarray) -> np.ndarray:
+        """The transform of one state (n, nodes) or of a stack (K, n, nodes)."""
         out = data.copy()
         for (i, j), kw in self.weighted.items():
-            out[i - 1] -= kw @ data[j - 1]
+            out[..., i - 1, :] -= data[..., j - 1, :] @ kw.T
         return out
 
     def _invert_data(self, data: np.ndarray) -> np.ndarray:

@@ -7,11 +7,13 @@ import pytest
 
 from hyperstab import (
     CascadeMatrix,
+    ClosedLoopSpec,
     Grid,
     HyperbolicSystem,
     IntegralOperator,
     Profile,
     StateVector,
+    Trajectory,
     invert_fredholm,
 )
 
@@ -63,6 +65,63 @@ def feedback_H(op: IntegralOperator, state: StateVector) -> np.ndarray:
     for (i, j), kw in op.weighted.items():
         out[i - 1] -= kw[-1, :] @ z[j - 1]
     return out
+
+
+def reference_march(spec: ClosedLoopSpec, u0: StateVector, steps: int, grid: Grid,
+                    scheme: str, dt: float, stride: int) -> Trajectory:
+    """The closed loop marched one step at a time, the way ``simulate`` did
+    before it marched in chunks: a per-component transport loop, the dense
+    (n, n, nodes) sigma contraction, one norm evaluation per stamp and no
+    subnormal flush.  Fill, source, q-fill, then the x = 1 overwrite."""
+    system = spec.system
+    n, m, nn, dx = system.n, system.m, grid.n_nodes, grid.dx
+    lam = system.speed_values(grid.nodes)
+    w = grid.trapezoid_weights()
+    shifts = [round(float(lam[i, 0]) * dt / dx) for i in range(n)]
+    sig = np.zeros((n, n, nn))
+    for (i, j), prof in (system.sigma or {}).items():
+        sig[i - 1, j - 1] = prof(grid.nodes)
+    band = None if spec.dynamics == "plant" else spec.source.matrix.tabulate(grid.nodes)
+
+    def norms(data):
+        mag, sq = np.abs(data), w * data * data
+        s_minus, s_plus = float(np.sum(sq[:m])), float(np.sum(sq[m:]))
+        return ([np.max(mag[:m]), np.max(mag[m:]), np.max(mag)],
+                np.sqrt([s_minus, s_plus, s_minus + s_plus]))
+
+    times = np.arange(steps + 1) * dt
+    cur = u0.data.copy()
+    stamps = [norms(cur)]
+    snap_times, snaps = [0.0], [StateVector(grid, m, cur.copy())]
+    for k in range(1, steps + 1):
+        fb = spec.feedback.evaluate(StateVector(grid, m, cur))
+        new = np.empty_like(cur)
+        for i in range(n):
+            a = abs(shifts[i])
+            if scheme == "integer_shift" and i < m:
+                new[i, : nn - a], new[i, nn - a :] = cur[i, a:], fb[i]
+            elif scheme == "integer_shift":
+                new[i, a:], new[i, :a] = cur[i, : nn - a], 0.0
+            elif i < m:
+                new[i, :-1] = cur[i, :-1] - dt * lam[i, :-1] * (cur[i, 1:] - cur[i, :-1]) / dx
+                new[i, -1] = fb[i]
+            else:
+                new[i, 1:] = cur[i, 1:] - dt * lam[i, 1:] * (cur[i, 1:] - cur[i, :-1]) / dx
+                new[i, 0] = 0.0
+        if band is None:
+            new += dt * np.einsum("ijk,jk->ik", sig, cur)
+        else:
+            new += dt * np.einsum("imk,m->ik", band, cur[:m, 0].copy())
+        for i, value in zip(range(m, n), system.q @ new[:m, 0]):
+            new[i, : abs(shifts[i]) if scheme == "integer_shift" else 1] = value
+        new[:m, -1] = fb
+        cur = new
+        stamps.append(norms(cur))
+        if k % stride == 0 or k == steps:
+            snap_times.append(times[k])
+            snaps.append(StateVector(grid, m, cur.copy()))
+    sup, l2 = (np.array([s[b] for s in stamps]) for b in (0, 1))
+    return Trajectory(grid, dt, times, sup, l2, np.asarray(snap_times), snaps)
 
 
 # Values whose text the exported tables must pin: signed zero, the smallest

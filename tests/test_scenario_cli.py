@@ -146,10 +146,41 @@ class TestLoadScenario:
         [violation] = err.value.violations
         assert f"{tmp_path / 'f.csv'} line {RIESZ_CELLS + 3}:" in violation
 
+    def test_riesz_colliding_rows_rejected(self, tmp_path):
+        # y = 0.5 snaps to node 8 of N = 16, which the row on line 10 set
+        scn = load_scenario(riesz_scenario(tmp_path, "1,1,0.51,2.0"))
+        with pytest.raises(ScenarioError) as err:
+            scn.load_riesz_tables(scn.grid())
+        [violation] = err.value.violations
+        assert f"line {RIESZ_CELLS + 3}:" in violation
+        assert "node 8 " in violation and "line 10 " in violation
+
+    def test_riesz_finer_table_rejected_on_coarse_grid(self, tmp_path):
+        # f(y) = y on 201 nodes: loaded at N = 16 the later rows used to
+        # overwrite the earlier ones, giving f(0) = 0.03
+        rows = ["i,j,y,value"] + [f"1,1,{k / 200},{k / 200}" for k in range(201)]
+        scn = load_scenario(riesz_scenario(tmp_path))
+        (tmp_path / "f.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ScenarioError) as err:
+            scn.load_riesz_tables(Grid(16))
+        assert len(err.value.violations) == 201 - 17
+        assert "line 3:" in err.value.violations[0]
+        assert "node 0 " in err.value.violations[0] and "line 2 " in err.value.violations[0]
+
     def test_riesz_bad_row_exits_2(self, tmp_path, capsys):
         path = riesz_scenario(tmp_path, "1,1,1.5,1.0")
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"line {RIESZ_CELLS + 3}" in capsys.readouterr().err
+
+
+    def test_run_time_error_one_line_per_violation(self, tmp_path, capsys):
+        rows = "\n".join(["0,1,0.5,1.0", "1,1,1.5,1.0", "1,1,0.5,nan"])
+        path = riesz_scenario(tmp_path, rows)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "[s3] configuration error:"
+        assert [line.split(" line ")[1][:3] for line in err[1:]] == ["19:", "20:", "21:"]
+        assert all(line.startswith("[s3]   feedback: riesz file ") for line in err[1:])
 
 
 class TestCliSynthesize:

@@ -24,12 +24,13 @@ from hyperstab import (
     simulate,
     vanish_time,
 )
-from hyperstab.simulator import Trajectory, write_norms_csv, write_trajectory_csv
+from hyperstab.simulator import CHUNK, Trajectory, write_norms_csv, write_trajectory_csv
 from tests.conftest import (
     SPECIAL_FLOATS,
     csv_reference,
     feedback_H,
     random_state,
+    reference_march,
     smooth_state,
 )
 
@@ -356,6 +357,99 @@ class TestThreeLeftComponents:
         assert vt is not None and vt <= 2.0 + 5 * traj.dt
 
 
+def random_loop(rng, dynamics, scheme, grid):
+    """A random closed loop with n <= 5: strictly ordered speeds (whole
+    cells per step under integer_shift with dt = dx, affine under upwind),
+    random q and, for the plant, random sigma entries (some rows with
+    several), riesz feedback; targets get a random cascade band."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, n))
+    if scheme == "integer_shift":
+        left = -np.sort(rng.choice(np.arange(1, 6), m, replace=False))[::-1]
+        right = np.sort(rng.choice(np.arange(1, 6), n - m, replace=False))
+        speeds = [Profile.constant(c) for c in (*left, *right)]
+    else:
+        bases = np.concatenate([-np.arange(m, 0, -1), np.arange(1, n - m + 1)]) * 1.0
+        bases += np.where(bases < 0, -0.3, 0.3) + rng.uniform(0.0, 0.2, n)
+        speeds = [Profile.affine(b, s) for b, s in zip(bases, rng.uniform(-0.2, 0.2, n))]
+    q = rng.uniform(-1, 1, (n - m, m))
+    law = FeedbackLaw.riesz(rng.uniform(-1, 1, (m, n, grid.n_nodes)), grid)
+    if dynamics == "plant":
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        sigma = {p: Profile.affine(*rng.uniform(-0.5, 0.5, 2))
+                 for p in pairs if rng.uniform() < 0.4}
+        return ClosedLoopSpec.plant(HyperbolicSystem(n, m, tuple(speeds), q, sigma), law)
+    system = HyperbolicSystem(n, m, tuple(speeds), q)
+    band = [(i, j) for i in range(2, n + 1) for j in range(1, min(i - 1, m) + 1)]
+    g = CascadeMatrix(n, m, {p: Profile.constant(rng.uniform(-1, 1))
+                             for p in band if rng.uniform() < 0.6})
+    if dynamics == "z_target":
+        return ClosedLoopSpec.z_target(system, build_z_source(g))
+    return ClosedLoopSpec.gamma_target(system, gamma_source(g), law)
+
+
+class TestChunkedMarch:
+    """The chunked march against the per-step reference in conftest."""
+
+    @pytest.mark.parametrize("scheme", ["upwind", "integer_shift"])
+    @pytest.mark.parametrize("dynamics", ["plant", "gamma_target", "z_target"])
+    def test_matches_per_step_reference(self, dynamics, scheme):
+        rng = np.random.default_rng(["plant", "gamma_target", "z_target"].index(dynamics)
+                                    + 3 * (scheme == "upwind"))
+        grid = Grid(16)
+        for steps, stride in itertools.product(
+            (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5), (1, 3, 10**9)
+        ):
+            spec = random_loop(rng, dynamics, scheme, grid)
+            lam = spec.system.speed_values(grid.nodes)
+            dt = grid.dx if scheme == "integer_shift" else 0.8 * grid.dx / np.abs(lam).max()
+            u0 = random_state(grid, spec.system.n, spec.system.m, int(rng.integers(1000)))
+            ref = reference_march(spec, u0, steps, grid, scheme, dt, stride)
+            traj = simulate(spec, u0, steps * dt, grid, scheme=scheme, dt=dt,
+                            snapshot_stride=stride)
+            for name in ("times", "sup", "l2", "snapshot_times"):
+                assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+            assert len(traj.snapshots) == len(ref.snapshots)
+            for got, want in zip(traj.snapshots, ref.snapshots):
+                assert np.array_equal(got.data, want.data)
+
+    def test_subnormal_tail_flushed_at_chunk_ends(self):
+        # upwind at Courant number 1/2 with zero inflow halves the cell next
+        # to the outflow every step, so the tail decays through the
+        # subnormal range before it underflows to zero
+        grid = Grid(16)
+        system = HyperbolicSystem(2, 1, (Profile.constant(-1), Profile.constant(1)),
+                                  np.array([[0.5]]), sigma={(2, 1): Profile.constant(0.2)})
+        spec = ClosedLoopSpec.plant(system, FeedbackLaw.zero())
+        u0 = StateVector(grid, 1, np.ones((2, grid.n_nodes)))
+        dt, steps = 0.5 * grid.dx, 40 * CHUNK
+        ref = reference_march(spec, u0, steps, grid, "upwind", dt, CHUNK)
+        traj = simulate(spec, u0, steps * dt, grid, scheme="upwind", dt=dt,
+                        snapshot_stride=CHUNK)
+
+        def subnormal(a):
+            return np.any((a != 0.0) & (np.abs(a) < np.finfo(float).tiny))
+
+        assert any(subnormal(s.data) for s in ref.snapshots)
+        assert np.array_equal(traj.snapshot_times, ref.snapshot_times)
+        assert not any(subnormal(s.data) for s in traj.snapshots)
+        for got, want in zip(traj.snapshots, ref.snapshots):
+            assert np.max(np.abs(got.data - want.data)) <= 1e-300
+        assert np.max(np.abs(traj.sup - ref.sup)) <= 1e-300
+        assert vanish_time(traj, 1e-6) == vanish_time(ref, 1e-6)
+
+    def test_negative_zero_input_stays_negative_zero(self):
+        # one-cell shifts carry the -0.0 input through a whole chunk, and the
+        # flush at its end must not turn it into +0.0
+        grid = Grid(64)
+        spec = ClosedLoopSpec.plant(single_left_system(), FeedbackLaw.zero())
+        u0 = StateVector(grid, 1, np.full((2, grid.n_nodes), -0.0))
+        traj = simulate(spec, u0, CHUNK * grid.dx, grid, scheme="integer_shift",
+                        dt=grid.dx)
+        assert traj.times.size == CHUNK + 1
+        assert np.all(np.signbit(traj.snapshots[-1].data[0, : grid.n_nodes - CHUNK]))
+
+
 def march_pair(system, g, grid, z0, t_final):
     op = IntegralOperator.from_kernel(build_kernel(system, g, grid))
     return op, march_targets(op, z0, t_final, "integer_shift", grid.dx)
@@ -393,6 +487,25 @@ class TestCommutation:
         assert np.array_equal(z_traj.times, g_traj.times)
         assert np.array_equal(z_traj.snapshots[0].data, z0.data)
         assert np.array_equal(g_traj.snapshots[0].data, apply_fredholm(op, z0).data)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_gap_matches_per_snapshot(self, s3_system, seed):
+        # random cascade, grid and horizon, so the stamp count is rarely a
+        # multiple of the chunk
+        rng = np.random.default_rng(seed)
+        g = CascadeMatrix(3, 2, {p: Profile.affine(*rng.uniform(-1, 1, 2))
+                                 for p in ((2, 1), (3, 1), (3, 2))})
+        grid = Grid(int(rng.integers(16, 96)))
+        op, (z_traj, g_traj) = march_pair(s3_system, g, grid,
+                                          random_state(grid, 3, 2, seed), rng.uniform(0.5, 3))
+        per_snapshot = 0.0
+        for z, gam in zip(z_traj.snapshots, g_traj.snapshots):
+            ref = z.data.copy()
+            for (i, j), kw in op.weighted.items():
+                ref[i - 1] -= kw @ z.data[j - 1]
+            per_snapshot = max(per_snapshot, float(np.max(np.abs(gam.data - ref))))
+        assert per_snapshot > 0.0
+        assert commutation_check(op, z_traj, g_traj) == pytest.approx(per_snapshot, rel=1e-13)
 
     def test_mismatched_runs_rejected(self, s3_system, s3_cascade):
         grid = Grid(32)
