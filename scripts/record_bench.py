@@ -66,14 +66,14 @@ def summarise(runs: list[dict]) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, help="write BENCH_<pr>.json at the root of the checkout")
-    ap.add_argument("--out", help="output path instead of BENCH_<pr>.json")
+    ap.add_argument("--out", help="output path in place of BENCH_<pr>.json")
     ap.add_argument("--parent", help="checkout of the parent commit to run alongside")
     ap.add_argument("--seeds", default="0", help="comma-separated seeds of the end-to-end runs")
     ap.add_argument("--smoke", action="store_true",
                     help="every workload once at N = 32 for 0.2 s, this checkout only")
     args = ap.parse_args()
-    if (args.pr is None) == (args.out is None):
-        ap.error("give exactly one of --pr and --out")
+    if args.pr is None and args.out is None:
+        ap.error("give --pr, --out or both")
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
     seeds = [int(s) for s in args.seeds.split(",")]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
