@@ -147,8 +147,7 @@ def simulate(
     if u0.m != system.m or u0.n != system.n:
         raise ValueError("initial state block structure does not match the system")
 
-    n, m = system.n, system.m
-    nn = grid.n_nodes
+    n, m, nn = system.n, system.m, grid.n_nodes
     dx = grid.dx
     lam = system.speed_values(grid.nodes)
     max_speed = float(np.max(np.abs(lam)))
@@ -190,7 +189,6 @@ def simulate(
     else:
         band = spec.source.matrix.tabulate(grid.nodes)  # (n, m, nn)
     fills = np.ones(n - m, dtype=int) if shifts is None else np.abs(shifts[m:])
-    q = system.q
 
     def step(cur: np.ndarray, new: np.ndarray) -> None:
         fb = spec.feedback.evaluate(StateVector(grid, m, cur))
@@ -223,7 +221,7 @@ def simulate(
             new += dt * np.einsum("imk,m->ik", band, cur[:m, 0])
 
         # left coupling reads the freshly transported left trace
-        for i, fill, value in zip(range(m, n), fills, q @ new[:m, 0]):
+        for i, fill, value in zip(range(m, n), fills, system.q @ new[:m, 0]):
             new[i, :fill] = value
         new[:m, -1] = fb
 
@@ -303,10 +301,10 @@ def commutation_check(op: IntegralOperator, z_traj: Trajectory, g_traj: Trajecto
         raise ValueError("commutation needs two runs on the same stamps, snapshotted at each")
     dev = 0.0
     for start in range(0, len(z_traj.snapshots), CHUNK):
-        z, g = (np.stack([s.data for s in t.snapshots[start : start + CHUNK]])
-                for t in (z_traj, g_traj))
-        gap = op._apply_data(z)
-        dev = max(dev, float(np.abs(np.subtract(g, gap, out=gap), out=gap).max()))
+        gap = op._apply_data(np.stack([s.data for s in z_traj.snapshots[start : start + CHUNK]]))
+        for row, s in zip(gap, g_traj.snapshots[start : start + CHUNK]):
+            np.subtract(s.data, row, out=row)
+        dev = max(dev, float(np.abs(gap, out=gap).max()))
     return dev
 
 

@@ -305,9 +305,11 @@ def block_norms(data: np.ndarray, m: int, w: np.ndarray) -> tuple[np.ndarray, np
     bits as its states one by one."""
     stack = data.reshape(-1, *data.shape[-2:])
     k = len(stack)
-    mag, sq = np.abs(stack), w * stack * stack
-    sup_minus, sup_plus = mag[:, :m].reshape(k, -1).max(1), mag[:, m:].reshape(k, -1).max(1)
-    s_minus, s_plus = sq[:, :m].reshape(k, -1).sum(1), sq[:, m:].reshape(k, -1).sum(1)
+    tmp = np.abs(stack)  # one temporary: |data|, then w * data * data
+    sup_minus, sup_plus = tmp[:, :m].reshape(k, -1).max(1), tmp[:, m:].reshape(k, -1).max(1)
+    np.multiply(w, stack, out=tmp)
+    tmp *= stack
+    s_minus, s_plus = tmp[:, :m].reshape(k, -1).sum(1), tmp[:, m:].reshape(k, -1).sum(1)
     sup = np.stack([sup_minus, sup_plus, np.maximum(sup_minus, sup_plus)], axis=-1)
     l2 = np.sqrt(np.stack([s_minus, s_plus, s_minus + s_plus], axis=-1))
     return sup.reshape(data.shape[:-2] + (3,)), l2.reshape(data.shape[:-2] + (3,))
