@@ -83,7 +83,6 @@ def main() -> int:
         checkouts = {"parent": Path(args.parent).resolve(), "change": ROOT}
     record = {
         "pr": args.pr,
-        "command": " ".join(sys.argv),
         "seconds": seconds,
         "seeds": seeds,
         "smoke": args.smoke,
