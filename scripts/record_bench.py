@@ -9,7 +9,10 @@ of the parent commit, made for instance with ``git clone`` or
 alternating in order from one seed to the next so that host drift falls on
 both alike.  The file holds, per workload, checkout and metric, the value of
 every run, its median and its quartiles, the ``env`` line ``run.py`` printed
-and the count of runs that failed or reported an incorrect call; ``env`` and
+and the count of runs that failed or reported an incorrect call.  With a
+parent, each end-to-end metric of the change also holds ``pairs``: how many
+seeds the change won, lost and tied against the parent's run of the same
+seed, in the direction ``better`` of ``BENCHMARK.json``.  ``env`` and
 ``parent_env`` at the top give each checkout's ``src/`` line count and
 commit.  The script exits 1 if any run failed.
 
@@ -63,6 +66,18 @@ def summarise(runs: list[dict]) -> dict:
     return out
 
 
+def pair_counts(parent: list[dict], change: list[dict], name: str, better: str) -> dict:
+    """Seeds on which the change won, lost and tied ``name`` against the parent;
+    the two lists hold the runs of the same seeds in the same order."""
+    sign = 1 if better == "lower" else -1
+    counts = {"won": 0, "lost": 0, "tied": 0}
+    for p, c in zip(parent, change):
+        if p["ok"] and c["ok"]:
+            diff = sign * (c["metrics"][name] - p["metrics"][name])
+            counts["won" if diff < 0 else "lost" if diff > 0 else "tied"] += 1
+    return counts
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, help="write BENCH_<pr>.json at the root of the checkout")
@@ -110,6 +125,12 @@ def main() -> int:
             }
             for name, by_trace in runs.items()
         }
+        if "parent" in runs:
+            summary = record["workloads"][w]["change"]["end_to_end"]
+            for m in spec["end_to_end"]:
+                if m["name"] in summary:
+                    summary[m["name"]]["pairs"] = pair_counts(
+                        runs["parent"][0], runs["change"][0], m["name"], m["better"])
     for name, checkout in checkouts.items():
         env = record["workloads"][w][name]["env"] or {}
         status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],

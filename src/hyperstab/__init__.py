@@ -23,7 +23,6 @@ from .simulator import (
     ClosedLoopSpec,
     Trajectory,
     commutation_check,
-    march_targets,
     simulate,
     vanish_time,
 )

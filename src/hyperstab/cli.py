@@ -36,7 +36,6 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .simulator import (
     ClosedLoopSpec,
     commutation_check,
-    march_targets,
     simulate,
     vanish_time,
     write_norms_csv,
@@ -213,7 +212,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     )
 
     z0 = _nonzero_initial(scn, grid)
-    z_traj, pair_traj = march_targets(op, z0, t_run, scn.scheme, dt)
+    dev, z_traj, pair_traj = commutation_check(op, z0, t_run, scn.scheme, dt)
     if scn.scheme == "integer_shift":
         late = z_traj.times >= topt + 2 * z_traj.dt + 1e-12
         tail = float(z_traj.sup_total[late].max()) if np.any(late) else 0.0
@@ -248,7 +247,6 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
         )
     )
 
-    dev = commutation_check(op, z_traj, pair_traj)
     cm_tol = scn.tol("commutation_rel") * pair_traj.initial_sup()
     checks.append(
         Check("commutation", dev <= cm_tol, f"max deviation {dev:.3g} (tol {cm_tol:.3g})")
@@ -292,7 +290,7 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
         gap_max, gap_mean = oracle_gap(kernel, kernel_oracle_solve(system, g, grid))
 
         u0 = _nonzero_initial(scn, grid)
-        dev = commutation_check(op, *march_targets(op, u0, scn.t_final, scn.scheme, dt))
+        dev = commutation_check(op, u0, scn.t_final, scn.scheme, dt)[0]
 
         spec = _closed_loop(scn, grid, op)
         traj = simulate(

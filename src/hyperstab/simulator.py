@@ -14,10 +14,11 @@ each subnormal value (below 2.2e-308) multiplied by 0.0, keeping its sign
 and every normal value: a decaying upwind tail would otherwise march on in
 slow subnormal arithmetic.  Integer shifts move exact zeros to exact zeros,
 so finite-time vanishing is certified at machine precision.  Trajectories
-share no mutable state.  :func:`march_targets` marches the z/gamma pair that
-the transform intertwines once, for every check on it, and
-:func:`commutation_check` compares them a chunk of stamps at a time.  The
-CSV exports stream one snapshot component or one stamp per written block.
+share no mutable state.  :func:`simulate` and :func:`commutation_check` drive
+the same chunked march: the check marches the z/gamma pair that the
+transform intertwines in lockstep and takes the gap on each pair of chunks
+as they come, so no state of either run is held per step.  The CSV exports
+stream one snapshot component or one stamp per written block.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "Trajectory",
     "simulate",
     "vanish_time",
-    "march_targets",
     "commutation_check",
     "write_trajectory_csv",
     "write_norms_csv",
@@ -137,6 +137,19 @@ def simulate(
     every (necessarily constant) speed moves a whole number of cells per
     step.  Snapshots are kept at t = 0, every ``snapshot_stride`` >= 1 steps
     and at the last step.
+    """
+    for traj, _ in _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
+        pass
+    return traj
+
+
+def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
+    """Yield the trajectory :func:`simulate` returns, each time with the
+    states it has just recorded: t = 0 as a one-state stack first, then the
+    steps one chunk at a time, a view of one buffer the next chunk reuses.
+
+    The trajectory is complete when the last chunk is yielded, so a consumer
+    that stops there (``zip`` of two marches) still holds the whole run.
     """
     system = spec.system
     validate_system(system, grid)
@@ -229,11 +242,12 @@ def simulate(
     w = grid.trapezoid_weights()
     times = np.arange(steps + 1) * dt
     sup, l2 = np.empty((2, steps + 1, 3))
+    kept = np.union1d(np.arange(0, steps + 1, snapshot_stride), steps)
 
     cur = u0.data.copy()
     sup[0], l2[0] = block_norms(cur, m, w)
-    snap_times = [0.0]
-    snapshots = [StateVector(grid, m, cur.copy())]
+    traj = Trajectory(grid, dt, times, sup, l2, times[kept], [StateVector(grid, m, cur.copy())])
+    yield traj, cur[None]
 
     buf = np.empty((min(CHUNK, steps), n, nn))
     for start in range(0, steps, CHUNK):
@@ -247,10 +261,8 @@ def simulate(
         sup[stamps], l2[stamps] = block_norms(chunk, m, w)
         for k, state in enumerate(chunk, start=start + 1):
             if k % snapshot_stride == 0 or k == steps:
-                snap_times.append(times[k])
-                snapshots.append(StateVector(grid, m, state.copy()))
-
-    return Trajectory(grid, dt, times, sup, l2, np.asarray(snap_times), snapshots)
+                traj.snapshots.append(StateVector(grid, m, state.copy()))
+        yield traj, chunk
 
 
 def vanish_time(traj: Trajectory, tol_rel: float) -> float | None:
@@ -268,44 +280,32 @@ def vanish_time(traj: Trajectory, tol_rel: float) -> float | None:
     return float(traj.times[hits[0]]) if hits.size else None
 
 
-def march_targets(
+def commutation_check(
     op: IntegralOperator, z0: StateVector, t_final: float, scheme: str, dt: float | None
-) -> tuple[Trajectory, Trajectory]:
-    """March the z target from ``z0`` and, under the compiled fredholm law,
-    the gamma target from its transform; system, cascade and grid come from
-    ``op.kernel``.  Both runs snapshot every step for :func:`commutation_check`.
+) -> tuple[float, Trajectory, Trajectory]:
+    """Largest sup-norm gap between the marched gamma system and the
+    transformed marched z system, over all stamps, and the two runs.
+
+    The z target marches from ``z0`` and, under the compiled fredholm law,
+    the gamma target from its transform, in lockstep on one step size;
+    system, cascade and grid come from ``op.kernel``.  The gap is taken on
+    each pair of chunks as they are marched, so it isolates how far the
+    discrete march is from commuting with the discrete transform and no
+    run holds a state per step: both keep every stamp's norms but
+    snapshots only at t = 0 and the last step.
     """
     system, g, grid = op.kernel.system, op.kernel.source, op.kernel.grid
-    z_traj = simulate(
-        ClosedLoopSpec.z_target(system, build_z_source(g)),
-        z0, t_final, grid, scheme=scheme, dt=dt, snapshot_stride=1,
-    )
-    g_traj = simulate(
-        ClosedLoopSpec.gamma_target(system, gamma_source(g), FeedbackLaw.fredholm(op)),
-        apply_fredholm(op, z0), t_final, grid, scheme=scheme, dt=dt, snapshot_stride=1,
-    )
-    return z_traj, g_traj
-
-
-def commutation_check(op: IntegralOperator, z_traj: Trajectory, g_traj: Trajectory) -> float:
-    """Largest sup-norm gap between the marched gamma system and the
-    transformed marched z system, over all stamps.
-
-    The runs are the pair from :func:`march_targets`: consistent initial
-    data and one step size, so the gap isolates how far the discrete march
-    is from commuting with the discrete transform.  Runs on different
-    stamps, or without a snapshot at every stamp, are rejected.
-    """
-    stamps = (g_traj.times, z_traj.snapshot_times, g_traj.snapshot_times)
-    if not all(np.array_equal(t, z_traj.times) for t in stamps):
-        raise ValueError("commutation needs two runs on the same stamps, snapshotted at each")
+    z_spec = ClosedLoopSpec.z_target(system, build_z_source(g))
+    g_spec = ClosedLoopSpec.gamma_target(system, gamma_source(g), FeedbackLaw.fredholm(op))
     dev = 0.0
-    for start in range(0, len(z_traj.snapshots), CHUNK):
-        gap = op._apply_data(np.stack([s.data for s in z_traj.snapshots[start : start + CHUNK]]))
-        for row, s in zip(gap, g_traj.snapshots[start : start + CHUNK]):
-            np.subtract(s.data, row, out=row)
+    for (z_traj, z), (g_traj, gam) in zip(
+        _march(z_spec, z0, t_final, grid, scheme, dt, 10**9),
+        _march(g_spec, apply_fredholm(op, z0), t_final, grid, scheme, dt, 10**9),
+    ):
+        gap = op._apply_data(z)
+        np.subtract(gam, gap, out=gap)
         dev = max(dev, float(np.abs(gap, out=gap).max()))
-    return dev
+    return dev, z_traj, g_traj
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperstab import Grid, ScenarioError, cli, load_scenario, simulator
+from hyperstab import Grid, ScenarioError, load_scenario, simulator
 from hyperstab.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -279,13 +279,15 @@ class TestCliVerify:
     ])
     def test_each_target_loop_marched_once(self, tmp_path, monkeypatch, name, marches):
         # the z/gamma pair serves the vanishing checks and the commutation
-        # check; only a law other than fredholm needs a march of its own
+        # check; only a law other than fredholm needs a march of its own.
+        # simulate and commutation_check both march through _march.
         calls = []
-        for module in (cli, simulator):
-            def counted(spec, *args, real=module.simulate, **kwargs):
-                calls.append(spec.dynamics)
-                return real(spec, *args, **kwargs)
-            monkeypatch.setattr(module, "simulate", counted)
+
+        def counted(spec, *args, real=simulator._march, **kwargs):
+            calls.append(spec.dynamics)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_march", counted)
         main(["verify", str(SCENARIOS / f"{name}.cfg"), "--out", str(tmp_path), "--quiet"])
         assert calls == marches
 

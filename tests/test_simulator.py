@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from hyperstab import (
     build_z_source,
     commutation_check,
     gamma_source,
-    march_targets,
     naive_time,
     optimal_time,
     simulate,
@@ -452,7 +452,7 @@ class TestChunkedMarch:
 
 def march_pair(system, g, grid, z0, t_final):
     op = IntegralOperator.from_kernel(build_kernel(system, g, grid))
-    return op, march_targets(op, z0, t_final, "integer_shift", grid.dx)
+    return op, commutation_check(op, z0, t_final, "integer_shift", grid.dx)
 
 
 class TestCommutation:
@@ -461,29 +461,29 @@ class TestCommutation:
         g = CascadeMatrix(3, 2, {(3, 1): Profile.constant(1),
                                  (3, 2): Profile.constant(1)})
         grid = Grid(64)
-        op, pair = march_pair(s3_system, g, grid, random_state(grid, 3, 2, 4), 2.0)
-        assert commutation_check(op, *pair) <= 1e-12
+        _, (dev, _, _) = march_pair(s3_system, g, grid, random_state(grid, 3, 2, 4), 2.0)
+        assert dev <= 1e-12
 
     def test_zero_data_zero_deviation(self, s3_system, s3_cascade):
         grid = Grid(64)
-        op, pair = march_pair(s3_system, s3_cascade, grid, StateVector.zeros(3, 2, grid), 2.0)
-        assert commutation_check(op, *pair) == 0.0
+        _, (dev, _, _) = march_pair(s3_system, s3_cascade, grid,
+                                    StateVector.zeros(3, 2, grid), 2.0)
+        assert dev == 0.0
 
     def test_refinement_reduces_deviation(self, s3_system, s3_cascade):
         devs = []
         for n_cells in (100, 200):
             grid = Grid(n_cells)
-            op, pair = march_pair(s3_system, s3_cascade, grid,
-                                  smooth_state(grid, 3, 2, 42), 3.0)
-            devs.append(commutation_check(op, *pair))
+            _, (dev, _, _) = march_pair(s3_system, s3_cascade, grid,
+                                        smooth_state(grid, 3, 2, 42), 3.0)
+            devs.append(dev)
         assert np.log2(devs[0] / devs[1]) >= 0.8
 
     def test_pair_shares_every_stamp(self, s3_system, s3_cascade):
         grid = Grid(32)
         z0 = random_state(grid, 3, 2, 5)
-        op, (z_traj, g_traj) = march_pair(s3_system, s3_cascade, grid, z0, 1.0)
-        for traj in (z_traj, g_traj):
-            assert np.array_equal(traj.snapshot_times, traj.times)
+        op, (_, z_traj, g_traj) = march_pair(s3_system, s3_cascade, grid, z0, 1.0)
+        assert z_traj.times.size == 33
         assert np.array_equal(z_traj.times, g_traj.times)
         assert np.array_equal(z_traj.snapshots[0].data, z0.data)
         assert np.array_equal(g_traj.snapshots[0].data, apply_fredholm(op, z0).data)
@@ -491,40 +491,60 @@ class TestCommutation:
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_gap_matches_per_snapshot(self, s3_system, seed):
         # random cascade, grid and horizon, so the stamp count is rarely a
-        # multiple of the chunk
+        # multiple of the chunk, and the horizons at the chunk's edges; the
+        # reference transforms every snapshot of two separate runs
         rng = np.random.default_rng(seed)
         g = CascadeMatrix(3, 2, {p: Profile.affine(*rng.uniform(-1, 1, 2))
                                  for p in ((2, 1), (3, 1), (3, 2))})
         grid = Grid(int(rng.integers(16, 96)))
-        op, (z_traj, g_traj) = march_pair(s3_system, g, grid,
-                                          random_state(grid, 3, 2, seed), rng.uniform(0.5, 3))
-        per_snapshot = 0.0
-        for z, gam in zip(z_traj.snapshots, g_traj.snapshots):
-            ref = z.data.copy()
-            for (i, j), kw in op.weighted.items():
-                ref[i - 1] -= kw @ z.data[j - 1]
-            per_snapshot = max(per_snapshot, float(np.max(np.abs(gam.data - ref))))
-        assert per_snapshot > 0.0
-        assert commutation_check(op, z_traj, g_traj) == pytest.approx(per_snapshot, rel=1e-13)
-
-    def test_mismatched_runs_rejected(self, s3_system, s3_cascade):
-        grid = Grid(32)
-        z0 = random_state(grid, 3, 2, 5)
-        op, (z_traj, g_traj) = march_pair(s3_system, s3_cascade, grid, z0, 1.0)
-        shorter = march_targets(op, z0, 0.5, "integer_shift", grid.dx)[1]
-        coarser = march_targets(op, z0, 1.0, "integer_shift", 2 * grid.dx)[1]
-        z_spec = ClosedLoopSpec.z_target(s3_system, build_z_source(s3_cascade))
-        g_spec = ClosedLoopSpec.gamma_target(s3_system, gamma_source(s3_cascade),
+        op = IntegralOperator.from_kernel(build_kernel(s3_system, g, grid))
+        z0 = random_state(grid, 3, 2, seed)
+        z_spec = ClosedLoopSpec.z_target(s3_system, build_z_source(g))
+        g_spec = ClosedLoopSpec.gamma_target(s3_system, gamma_source(g),
                                              FeedbackLaw.fredholm(op))
-        z_strided, g_strided = (
-            simulate(spec, u0, 1.0, grid, scheme="integer_shift", dt=grid.dx,
-                     snapshot_stride=2)
-            for spec, u0 in ((z_spec, z0), (g_spec, g_traj.snapshots[0]))
-        )
-        for pair in ((z_traj, shorter), (z_traj, coarser), (z_strided, g_traj),
-                     (z_traj, g_strided), (z_strided, g_strided)):
-            with pytest.raises(ValueError):
-                commutation_check(op, *pair)
+        for steps in (int(rng.integers(16, 3 * grid.n_cells)), 0, CHUNK - 1, CHUNK, CHUNK + 1):
+            t_final = steps * grid.dx
+            z_traj, g_traj = (
+                simulate(spec, u0, t_final, grid, scheme="integer_shift", dt=grid.dx,
+                         snapshot_stride=1)
+                for spec, u0 in ((z_spec, z0), (g_spec, apply_fredholm(op, z0)))
+            )
+            assert z_traj.times.size == steps + 1
+            per_snapshot = 0.0
+            for z, gam in zip(z_traj.snapshots, g_traj.snapshots):
+                ref = z.data.copy()
+                for (i, j), kw in op.weighted.items():
+                    ref[i - 1] -= kw @ z.data[j - 1]
+                per_snapshot = max(per_snapshot, float(np.max(np.abs(gam.data - ref))))
+            assert (per_snapshot > 0.0) == (steps > 0)
+            dev, z_run, g_run = commutation_check(op, z0, t_final, "integer_shift", grid.dx)
+            assert dev == pytest.approx(per_snapshot, rel=1e-13)
+            for fused, full in ((z_run, z_traj), (g_run, g_traj)):
+                assert np.array_equal(fused.times, full.times)
+                assert np.array_equal(fused.sup, full.sup)
+                assert np.array_equal(fused.l2, full.l2)
+                assert np.array_equal(fused.snapshots[-1].data, full.snapshots[-1].data)
+
+    def test_memory_flat_in_horizon(self, s3_system, s3_cascade):
+        # the gap is taken as the pair marches, so a 4x longer horizon adds
+        # only its norm series, not a state per step
+        grid = Grid(128)
+        op = IntegralOperator.from_kernel(build_kernel(s3_system, s3_cascade, grid))
+        z0 = smooth_state(grid, 3, 2, 42)
+        # a first call's one-time allocations would inflate the short run's peak
+        commutation_check(op, z0, 0.1, "integer_shift", grid.dx)
+        peaks = []
+        for t_final in (2.0, 8.0):
+            tracemalloc.start()
+            try:
+                _, z_traj, g_traj = commutation_check(op, z0, t_final, "integer_shift",
+                                                      grid.dx)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(z_traj.snapshots) == len(g_traj.snapshots) == 2
+            assert np.array_equal(z_traj.snapshot_times, z_traj.times[[0, -1]])
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestTrajectoryOutput:
