@@ -242,7 +242,7 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     w = grid.trapezoid_weights()
     times = np.arange(steps + 1) * dt
     sup, l2 = np.empty((2, steps + 1, 3))
-    kept = np.union1d(np.arange(0, steps + 1, snapshot_stride), steps)
+    kept = [*range(0, steps, snapshot_stride), steps]
 
     cur = u0.data.copy()
     sup[0], l2[0] = block_norms(cur, m, w)
