@@ -5,16 +5,20 @@ end (``--trace 0``) for each seed and per layer (``--trace 1``) for the
 first seed, each for the ``run_seconds`` of ``BENCHMARK.json``, with
 OpenBLAS and OpenMP pinned to one thread.  With ``--parent DIR`` (a checkout
 of the parent commit, made for instance with ``git clone`` or
-``git archive``) the same runs are made there too, parent and change
-alternating in order from one seed to the next so that host drift falls on
-both alike.  The file holds, per workload, checkout and metric, the value of
-every run, its median and its quartiles, the ``env`` line ``run.py`` printed
-and the count of runs that failed or reported an incorrect call.  With a
-parent, each end-to-end metric of the change also holds ``pairs``: how many
-seeds the change won, lost and tied against the parent's run of the same
-seed, in the direction ``better`` of ``BENCHMARK.json``.  ``env`` and
-``parent_env`` at the top give each checkout's ``src/`` line count and
-commit.  The script exits 1 if any run failed.
+``git archive``) the same runs are made there too, parent and change alternating
+in order from one seed to the next so that host drift falls on both alike.
+The file holds, per workload, checkout and metric, the value of every run,
+its median and its quartiles, the ``env`` line ``run.py`` printed, the count
+of runs that failed or reported an incorrect call, the ``errors`` of the
+runs that did not finish, and ``wall_s``: the wall seconds of every
+``run.py`` call, its output check and set-up included, and their median.  A
+call still running after 600 s is stopped, with every process it started,
+and counted as a failed run.  With a parent, each end-to-end metric of the
+change also holds ``pairs``: how many seeds the change won, lost and tied
+against the parent's run of the same seed, in the direction ``better`` of
+``BENCHMARK.json``.  ``env`` and ``parent_env`` at the top give each
+checkout's ``src/`` line count and commit.  The script exits 1 if any run
+failed.
 
 Usage:
     python scripts/record_bench.py --pr 7 --parent ../parent --seeds 0,1,2,3,4
@@ -26,30 +30,46 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+TIMEOUT_S = 600
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int, seconds: float,
              smoke: bool) -> dict:
-    """One ``run.py`` call in ``checkout``: its result line and its detail line."""
+    """One ``run.py`` call in ``checkout``: its result line, its detail line
+    and its wall seconds."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)] + (["--smoke"] if smoke else [])
-    proc = subprocess.run(cmd, cwd=checkout, env=dict(os.environ, **PINNED),
-                          capture_output=True, text=True, timeout=600)
-    lines = proc.stdout.splitlines()
+    start = time.perf_counter()
+    # a session of its own, so that a timeout stops the worker run.py started too
+    with subprocess.Popen(cmd, cwd=checkout, env=dict(os.environ, **PINNED), text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return {"ok": False, "error": f"timed out after {TIMEOUT_S} s",
+                    "wall_s": time.perf_counter() - start}
+    wall_s = time.perf_counter() - start
+    lines = stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        return {"ok": False, "error": proc.stderr[-2000:]}
+        return {"ok": False, "error": stderr[-2000:], "wall_s": wall_s}
     detail, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {
         "ok": result["correct"] and result["failed"] == 0,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "env": detail["env"],
+        "wall_s": wall_s,
     }
 
 
@@ -116,15 +136,18 @@ def main() -> int:
                 runs[name][trace].append(r)
                 print(f"{w} {name} seed {seed} trace {trace}: "
                       f"{'ok' if r['ok'] else 'FAILED'}", file=sys.stderr)
-        record["workloads"][w] = {
-            name: {
+        record["workloads"][w] = {}
+        for name, by_trace in runs.items():
+            every = by_trace[0] + by_trace[1]
+            walls = [r["wall_s"] for r in every]
+            record["workloads"][w][name] = {
                 "end_to_end": summarise(by_trace[0]),
                 "per_layer": summarise(by_trace[1]),
                 "env": next((r["env"] for r in by_trace[0] if r["ok"]), None),
-                "failed_runs": sum(not r["ok"] for r in by_trace[0] + by_trace[1]),
+                "failed_runs": sum(not r["ok"] for r in every),
+                "errors": [r["error"] for r in every if "error" in r],
+                "wall_s": {"values": walls, "median": statistics.median(walls)},
             }
-            for name, by_trace in runs.items()
-        }
         if "parent" in runs:
             summary = record["workloads"][w]["change"]["end_to_end"]
             for m in spec["end_to_end"]:

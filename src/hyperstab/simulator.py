@@ -1,24 +1,27 @@
 """Explicit time marching for the plant and both trace-coupled targets.
 
 One step does, in order: (a) transport, by first-order upwinding toward the
-flow direction, one block expression per direction, or by an exact
-whole-cell shift when every speed moves an integer number of cells per step;
-(b) the source, by explicit Euler on the current snapshot, populated interior
-coupling entries for the plant and source-band times the current x = 0
-trace for the targets; (c) boundaries, right-moving components at x = 0
-from the constant coupling against the freshly transported left trace,
-left-moving components at x = 1 from the feedback evaluated on the current
-snapshot.  Steps write into a buffer of :data:`CHUNK` states, one norm pass
-per chunk records their stamps, and the state carried out of a chunk has
-each subnormal value (below 2.2e-308) multiplied by 0.0, keeping its sign
-and every normal value: a decaying upwind tail would otherwise march on in
-slow subnormal arithmetic.  Integer shifts move exact zeros to exact zeros,
-so finite-time vanishing is certified at machine precision.  Trajectories
-share no mutable state.  :func:`simulate` and :func:`commutation_check` drive
-the same chunked march: the check marches the z/gamma pair that the
-transform intertwines in lockstep and takes the gap on each pair of chunks
-as they come, so no state of either run is held per step.  The CSV exports
-stream one snapshot component or one stamp per written block.
+flow direction, one difference pass over all rows scaled by dt times the
+upstream speeds, or by an exact whole-cell shift when every speed moves an
+integer number of cells per step; (b) the source, by explicit Euler on the
+current snapshot, the populated interior coupling entries for the plant,
+gathered one rank of entries over all coupled rows at a time, and
+source-band times the current x = 0 trace for the targets; (c) boundaries,
+right-moving components at x = 0 from the constant coupling against the
+freshly transported left trace, left-moving components at x = 1 from the
+feedback evaluated on the current snapshot.  What does not change from step
+to step, the zero feedback among it, is built once per run.  Steps write
+into a buffer of :data:`CHUNK` states, one norm pass per chunk records their
+stamps, and the state carried out of a chunk has each subnormal value (below
+2.2e-308) multiplied by 0.0, keeping its sign and every normal value: a
+decaying upwind tail would otherwise march on in slow subnormal arithmetic.
+Integer shifts move exact zeros to exact zeros, so finite-time vanishing is
+certified at machine precision.  Trajectories share no mutable state.
+:func:`simulate` and :func:`commutation_check` drive the same chunked march:
+the check marches the z/gamma pair that the transform intertwines in
+lockstep and takes the gap on each pair of chunks as they come, so no state
+of either run is held per step.  The CSV exports stream one snapshot
+component or :data:`NORM_BATCH` stamps per written block.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
 
 # Steps marched into one buffer between two norm passes and subnormal flushes.
 CHUNK = 32
+NORM_BATCH = 256  # stamps of the norm series formatted as one CSV block
 
 @dataclass(frozen=True)
 class ClosedLoopSpec:
@@ -192,8 +196,9 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    # step plan: per row i its populated sigma entries in ascending j (plant)
-    # or the source band (targets); the width of each right row's x = 0 fill
+    # step plan: the populated sigma entries (plant) by rank r, the r-th entry
+    # in ascending j of each row, rows with more entries first so that rank r
+    # is the head of ``acc``; the source band (targets); the x = 0 fill widths
     coupling: dict[int, list[tuple[int, np.ndarray]]] = {}
     band = None
     if spec.dynamics == "plant":
@@ -201,10 +206,22 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
             coupling.setdefault(i - 1, []).append((j - 1, prof(grid.nodes)))
     else:
         band = spec.source.matrix.tabulate(grid.nodes)  # (n, m, nn)
+    rows = sorted(coupling, key=lambda i: -len(coupling[i]))
+    ranks = []
+    for r in range(len(coupling[rows[0]]) if rows else 0):
+        js, profs = zip(*(coupling[i][r] for i in rows if len(coupling[i]) > r))
+        ranks.append((np.array(js), np.array(profs)))
+    acc = np.empty((len(rows), nn))
+    if rows and rows == [*range(rows[0], rows[0] + len(rows))]:
+        rows = slice(rows[0], rows[0] + len(rows))  # a view: no gather, no scatter
+    # validate_system puts the negative speeds in rows :m
+    dt_lam = dt * np.concatenate([lam[:m, :-1], lam[m:, 1:]])
+    diff = np.empty((n, nn - 1))
+    zero = np.zeros(m) if spec.feedback.weights is None else None
     fills = np.ones(n - m, dtype=int) if shifts is None else np.abs(shifts[m:])
 
     def step(cur: np.ndarray, new: np.ndarray) -> None:
-        fb = spec.feedback.evaluate(StateVector(grid, m, cur))
+        fb = zero if zero is not None else spec.feedback.evaluate(StateVector(grid, m, cur))
         if shifts is not None:
             for i, a in enumerate(shifts):
                 if a < 0:
@@ -214,23 +231,23 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
                     new[i, a:] = cur[i, : nn - a]
                     new[i, :a] = 0.0
         else:
-            # validate_system puts the negative speeds in rows :m
-            new[:m, :-1] = cur[:m, :-1] - dt * lam[:m, :-1] * (
-                cur[:m, 1:] - cur[:m, :-1]
-            ) / dx
-            new[m:, 1:] = cur[m:, 1:] - dt * lam[m:, 1:] * (
-                cur[m:, 1:] - cur[m:, :-1]
-            ) / dx
+            # cur - ((dt lam) diff) / dx, upstream differences of each row
+            np.subtract(cur[:, 1:], cur[:, :-1], out=diff)
+            np.multiply(diff, dt_lam, out=diff)
+            np.divide(diff, dx, out=diff)
+            np.subtract(cur[:m, :-1], diff[:m], out=new[:m, :-1])
+            np.subtract(cur[m:, 1:], diff[m:], out=new[m:, 1:])
             new[:m, -1] = fb
             new[m:, 0] = 0.0
 
-        if band is None:
-            for i, ((j, s), *rest) in coupling.items():
-                acc = s * cur[j]
-                for j, s in rest:
-                    acc += s * cur[j]
-                new[i] += dt * acc
-        else:
+        if ranks:
+            (j, s), *rest = ranks
+            np.multiply(s, cur.take(j, axis=0), out=acc)
+            for j, s in rest:
+                acc[: len(j)] += s * cur.take(j, axis=0)
+            np.multiply(acc, dt, out=acc)
+            new[rows] += acc
+        elif band is not None:
             new += dt * np.einsum("imk,m->ik", band, cur[:m, 0])
 
         # left coupling reads the freshly transported left trace
@@ -322,13 +339,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def write_norms_csv(traj: Trajectory, path) -> None:
-    """Emit ``t,block,sup_norm,l2_norm`` rows for every stamp."""
+    """Emit ``t,block,sup_norm,l2_norm`` rows for every stamp, formatting
+    :data:`NORM_BATCH` stamps' ``t``, sup and L2 triples at a time."""
 
     def blocks():
-        for t, sup, l2 in zip(traj.times, traj.sup, traj.l2):
-            t_text, *cells = format_floats((t, *sup, *l2))
+        for k in range(0, traj.times.size, NORM_BATCH):
+            table = [a[k : k + NORM_BATCH] for a in (traj.times, traj.sup, traj.l2)]
+            cells = format_floats(np.column_stack(table))
             yield "".join(
-                f"{t_text},{name},{cells[b]},{cells[b + 3]}\n"
+                f"{row[0]},{name},{row[1 + b]},{row[4 + b]}\n"
+                for row in zip(*[iter(cells)] * 7)
                 for b, name in enumerate(BLOCKS)
             )
 

@@ -413,6 +413,32 @@ class TestChunkedMarch:
             for got, want in zip(traj.snapshots, ref.snapshots):
                 assert np.array_equal(got.data, want.data)
 
+    def test_sigma_ranks_match_per_step_reference(self):
+        # row 3 has three entries, so the rank gather runs three ranks and
+        # ranks 2 and 3 hold row 3 alone; row 2 is uncoupled between coupled
+        # rows 1 and 3, so the coupled rows are no contiguous block; row 1
+        # couples to itself
+        grid = Grid(16)
+        sigma = {(1, 1): Profile.constant(0.25), (3, 1): Profile.affine(0.3, -0.2),
+                 (3, 2): Profile.constant(-0.4), (3, 4): Profile.affine(-0.1, 0.5),
+                 (4, 2): Profile.affine(0.2, 0.1)}
+        speeds = (Profile.affine(-1.5, 0.2), Profile.constant(-0.7),
+                  Profile.affine(0.9, -0.1), Profile.constant(1.3))
+        system = HyperbolicSystem(4, 2, speeds, np.array([[0.5, -0.25], [0.75, 0.1]]), sigma)
+        rng = np.random.default_rng(7)
+        spec = ClosedLoopSpec.plant(
+            system, FeedbackLaw.riesz(rng.uniform(-1, 1, (2, 4, grid.n_nodes)), grid))
+        u0 = random_state(grid, 4, 2, 8)
+        dt = 0.8 * grid.dx / np.abs(system.speed_values(grid.nodes)).max()
+        for steps in (CHUNK - 1, CHUNK, CHUNK + 1):
+            ref = reference_march(spec, u0, steps, grid, "upwind", dt, 1)
+            traj = simulate(spec, u0, steps * dt, grid, scheme="upwind", dt=dt)
+            for name in ("times", "sup", "l2", "snapshot_times"):
+                assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+            assert len(traj.snapshots) == len(ref.snapshots) == steps + 1
+            for got, want in zip(traj.snapshots, ref.snapshots):
+                assert np.array_equal(got.data, want.data)
+
     def test_subnormal_tail_flushed_at_chunk_ends(self):
         # upwind at Courant number 1/2 with zero inflow halves the cell next
         # to the outflow every step, so the tail decays through the
@@ -601,6 +627,18 @@ class TestTrajectoryOutput:
              for k, t in enumerate(times)
              for b, name in enumerate(("minus", "plus", "total"))],
         )
+        # norm series across the edges of the batches the export formats
+        for stamps in (1, 255, 256, 257, 515):
+            table = np.array([next(cycle) for _ in range(7 * stamps)]).reshape(stamps, 7)
+            traj = Trajectory(grid, 0.1, table[:, 0], table[:, 1:4], table[:, 4:],
+                              times[:1], snaps[:1])
+            write_norms_csv(traj, npath)
+            assert npath.read_text() == csv_reference(
+                ["t", "block", "sup_norm", "l2_norm"],
+                [[float(row[0]), name, float(row[1 + b]), float(row[4 + b])]
+                 for row in table
+                 for b, name in enumerate(("minus", "plus", "total"))],
+            )
 
     def test_recorded_norms_match_state_methods(self, s3_system, s3_cascade):
         grid = Grid(16)
