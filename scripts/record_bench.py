@@ -5,18 +5,18 @@ end (``--trace 0``) for each seed and per layer (``--trace 1``) for the
 first seed, each for the ``run_seconds`` of ``BENCHMARK.json``, with
 OpenBLAS and OpenMP pinned to one thread.  With ``--parent DIR`` (a checkout
 of the parent commit, made for instance with ``git clone`` or
-``git archive``) the same runs are made there too, parent and change alternating
-in order from one seed to the next so that host drift falls on both alike.
-The file holds, per workload, checkout and metric, the value of every run,
-its median and its quartiles, the ``env`` line ``run.py`` printed, the count
-of runs that failed or reported an incorrect call, the ``errors`` of the
-runs that did not finish, and ``wall_s``: the wall seconds of every
-``run.py`` call, its output check and set-up included, and their median.  A
-call still running after 600 s is stopped, with every process it started,
-and counted as a failed run.  With a parent, each end-to-end metric of the
-change also holds ``pairs``: how many seeds the change won, lost and tied
-against the parent's run of the same seed, in the direction ``better`` of
-``BENCHMARK.json``.  ``env`` and ``parent_env`` at the top give each
+``git archive``) the same runs are made there too, parent and change
+alternating in order from one seed to the next so that host drift falls on
+both alike.  The file holds, per workload, checkout and metric, the value of
+every run, its median and its quartiles, the ``env`` line ``run.py``
+printed, the count of runs that failed or reported an incorrect call, the
+``errors`` of the runs that did not finish, and ``wall_s``: the wall seconds
+of every ``run.py`` call, its output check and set-up included, and their
+median.  A call still running after 600 s is stopped, with every process it
+started, and counted as a failed run.  With a parent, each end-to-end metric
+of the change also holds ``pairs``: how many seeds the change won, lost and
+tied against the parent's run of the same seed, in the direction ``better``
+of ``BENCHMARK.json``.  ``env`` and ``parent_env`` at the top give each
 checkout's ``src/`` line count and commit.  The script exits 1 if any run
 failed.
 
