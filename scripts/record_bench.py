@@ -12,9 +12,12 @@ every run, its median and its quartiles, the ``env`` line ``run.py``
 printed, the count of runs that failed or reported an incorrect call, the
 ``errors`` of the runs that did not finish, and ``wall_s``: the wall seconds
 of every ``run.py`` call, its output check and set-up included, and their
-median.  A call still running after 600 s is stopped, with every process it
-started, and counted as a failed run.  With a parent, each end-to-end metric
-of the change also holds ``pairs``: how many seeds the change won, lost and
+median.  Among the metrics is ``probe_s``, the median of the host probes
+``run.py`` took around each run's calls (``perfbench/probe.py``), so that the
+raw per-layer seconds can be put at the nominal host speed afterwards.  A
+call still running after 600 s is stopped, with every process it started,
+and counted as a failed run.  With a parent, each end-to-end metric of the
+change also holds ``pairs``: how many seeds the change won, lost and
 tied against the parent's run of the same seed, in the direction ``better``
 of ``BENCHMARK.json``.  ``env`` and ``parent_env`` at the top give each
 checkout's ``src/`` line count and commit.  The script exits 1 if any run
@@ -44,8 +47,9 @@ TIMEOUT_S = 600
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int, seconds: float,
              smoke: bool) -> dict:
-    """One ``run.py`` call in ``checkout``: its result line, its detail line
-    and its wall seconds."""
+    """One ``run.py`` call in ``checkout``: its result line, its detail line,
+    the median of its host probes as the metric ``probe_s``, and its wall
+    seconds."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)] + (["--smoke"] if smoke else [])
     start = time.perf_counter()
@@ -65,9 +69,11 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int, seconds: floa
     if proc.returncode != 0 or len(lines) < 2:
         return {"ok": False, "error": stderr[-2000:], "wall_s": wall_s}
     detail, result = json.loads(lines[-2]), json.loads(lines[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics["probe_s"] = statistics.median(detail["host_probe_s"])
     return {
         "ok": result["correct"] and result["failed"] == 0,
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "metrics": metrics,
         "env": detail["env"],
         "wall_s": wall_s,
     }

@@ -240,25 +240,28 @@ def kernel_oracle_solve(
         max_ratio = np.max(np.abs(lam_i)) / np.min(np.abs(lam_j_nodes))
         nsub = max(1, math.ceil(max_ratio - 1e-12))
         dy = dx / nsub
+        # lambda_j and lambda_j'/lambda_j at every substep's y, in march order
+        ys = (x[:-1, None] + np.arange(nsub) * dy).ravel()
+        lj = lam_j(ys)
+        dj = lam_j.derivative(ys) / lj
+        # max|lam_i / lam_j(y)|, as division rounds monotonically
+        cfl = np.max(np.abs(lam_i)) / np.abs(lj) * dy / dx
+        over = np.flatnonzero(cfl > 1.0 + 1e-9)
+        if over.size:
+            raise CFLError(
+                f"entry ({i},{j}): step ratio {cfl[over[0]]:.3f} exceeds 1"
+            )
 
         table = np.empty((grid.n_nodes, grid.n_nodes))
         row = gij(x) / (-lam_j_nodes[0])  # imposed data at y = 0
         table[:, 0] = row
         k = row.copy()
         for q in range(grid.n_cells):
-            for sub in range(nsub):
-                y_here = x[q] + sub * dy
-                lam_j_here = float(lam_j(y_here))
-                c = lam_i / lam_j_here
-                cfl = np.max(np.abs(c)) * dy / dx
-                if cfl > 1.0 + 1e-9:
-                    raise CFLError(
-                        f"entry ({i},{j}): step ratio {cfl:.3f} exceeds 1"
-                    )
-                d = float(lam_j.derivative(y_here)) / lam_j_here
+            for s in range(q * nsub, (q + 1) * nsub):
+                c = lam_i / lj[s]
                 knew = np.empty_like(k)
                 knew[1:] = k[1:] - dy * (
-                    c[1:] * (k[1:] - k[:-1]) / dx + d * k[1:]
+                    c[1:] * (k[1:] - k[:-1]) / dx + dj[s] * k[1:]
                 )
                 knew[0] = 0.0
                 k = knew

@@ -16,7 +16,11 @@ stamps, and the state carried out of a chunk has each subnormal value (below
 2.2e-308) multiplied by 0.0, keeping its sign and every normal value: a
 decaying upwind tail would otherwise march on in slow subnormal arithmetic.
 Integer shifts move exact zeros to exact zeros, so finite-time vanishing is
-certified at machine precision.  Trajectories share no mutable state.
+certified at machine precision.  A step reads only the carried state and
+the plan, so when the state carried out of a chunk is all zero and one probe
+step reproduces it bit for bit, signed zeros included, the march is at rest:
+stepping stops, and every later stamp, snapshot and chunk is that state.
+Trajectories share no mutable state.
 :func:`simulate` and :func:`commutation_check` drive the same chunked march:
 the check marches the z/gamma pair that the transform intertwines in
 lockstep and takes the gap on each pair of chunks as they come, so no state
@@ -217,6 +221,7 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     # validate_system puts the negative speeds in rows :m
     dt_lam = dt * np.concatenate([lam[:m, :-1], lam[m:, 1:]])
     diff = np.empty((n, nn - 1))
+    probe = np.empty((n, nn))  # one step past an all-zero chunk end
     zero = np.zeros(m) if spec.feedback.weights is None else None
     fills = np.ones(n - m, dtype=int) if shifts is None else np.abs(shifts[m:])
 
@@ -267,19 +272,30 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     yield traj, cur[None]
 
     buf = np.empty((min(CHUNK, steps), n, nn))
+    rest = None  # norms of the fixed state once the march is at rest
     for start in range(0, steps, CHUNK):
         chunk = buf[: min(CHUNK, steps - start)]
-        for new in chunk:
-            step(cur, new)
-            cur = new
-        # the carried state holds no subnormal; x * 0.0 keeps the sign of zero
-        np.multiply(cur, 0.0, out=cur, where=np.abs(cur) < np.finfo(float).tiny)
         stamps = slice(start + 1, start + 1 + len(chunk))
-        sup[stamps], l2[stamps] = block_norms(chunk, m, w)
+        if rest is None:
+            for new in chunk:
+                step(cur, new)
+                cur = new
+            # the carried state holds no subnormal; x * 0.0 keeps the sign of zero
+            np.multiply(cur, 0.0, out=cur, where=np.abs(cur) < np.finfo(float).tiny)
+            sup[stamps], l2[stamps] = block_norms(chunk, m, w)
+        else:
+            sup[stamps], l2[stamps] = rest
         for k, state in enumerate(chunk, start=start + 1):
             if k % snapshot_stride == 0 or k == steps:
                 traj.snapshots.append(StateVector(grid, m, state.copy()))
         yield traj, chunk
+        # a step reads only the state and the plan, so a state it reproduces
+        # bit for bit (signed zeros included) holds for every later stamp
+        if rest is None and not cur.any():
+            step(cur, probe)
+            if np.array_equal(probe.view(np.uint64), cur.view(np.uint64)):
+                buf[:] = probe
+                rest = block_norms(probe, m, w)
 
 
 def vanish_time(traj: Trajectory, tol_rel: float) -> float | None:

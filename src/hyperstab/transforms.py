@@ -66,10 +66,16 @@ class IntegralOperator:
             )
 
     def _apply_data(self, data: np.ndarray) -> np.ndarray:
-        """The transform of one state (n, nodes) or of a stack (K, n, nodes)."""
+        """The transform of one state (n, nodes) or of a stack (K, n, nodes).
+
+        A block whose source component is exactly zero over the whole state
+        or stack is skipped: subtracting its zero product would leave every
+        entry as it is, up to the sign of a zero, and a run at rest (or past
+        a transit) has many such blocks."""
         out = data.copy()
         for (i, j), kw in self.weighted.items():
-            out[..., i - 1, :] -= data[..., j - 1, :] @ kw.T
+            if data[..., j - 1, :].any():
+                out[..., i - 1, :] -= data[..., j - 1, :] @ kw.T
         return out
 
     def _invert_data(self, data: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hyperstab import (
     CascadeMatrix,
+    CFLError,
     Grid,
     HyperbolicSystem,
     Profile,
@@ -138,6 +139,21 @@ class TestOracle:
         # y = 0 column holds -g(x)/lambda_1(0) bitwise, corner included
         expect = np.ones(grid.n_nodes) / 2.0
         assert np.array_equal(tabs[(2, 1)][:, 0], expect)
+
+    def test_speed_dip_between_nodes_violates_step_bound(self):
+        # the substeps are sized from lambda_1 at the nodes, where it is at
+        # least 1 in magnitude; between them its table dips to 0.1, so the
+        # substep at y = 1/16 runs at step ratio 2 / 0.1 * (1/16) / (1/8)
+        t = np.linspace(0.0, 1.0, 17)
+        lam_1 = np.where(np.arange(17) % 2 == 0, -3.0 + 2.0 * t, -0.1)
+        sys_ = HyperbolicSystem(
+            3, 2,
+            (Profile.tabulated(lam_1), Profile.affine(-2, 1.5), Profile.constant(1)),
+            np.array([[1.0, 1.0]]),
+        )
+        g = CascadeMatrix(3, 2, {(2, 1): Profile.constant(1)})
+        with pytest.raises(CFLError, match=r"entry \(2,1\): step ratio 10\.000 exceeds 1"):
+            kernel_oracle_solve(sys_, g, Grid(8))
 
     def test_jump_case_matches_away_from_interface(self, s3_system, s3_cascade):
         # constant coefficient: the kernel jumps across phi_2(x) = phi_1(y);

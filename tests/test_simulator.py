@@ -465,15 +465,73 @@ class TestChunkedMarch:
         assert vanish_time(traj, 1e-6) == vanish_time(ref, 1e-6)
 
     def test_negative_zero_input_stays_negative_zero(self):
-        # one-cell shifts carry the -0.0 input through a whole chunk, and the
-        # flush at its end must not turn it into +0.0
+        # one-cell shifts carry the -0.0 input out a cell a step while +0.0
+        # flows in; neither the flush at a chunk end nor the stop at rest may
+        # change a sign.  The all-zero states at the ends of the first two
+        # chunks are no fixed point: their -0.0 cells still move.
         grid = Grid(64)
+        nn, steps = grid.n_nodes, 3 * CHUNK + 5
         spec = ClosedLoopSpec.plant(single_left_system(), FeedbackLaw.zero())
-        u0 = StateVector(grid, 1, np.full((2, grid.n_nodes), -0.0))
-        traj = simulate(spec, u0, CHUNK * grid.dx, grid, scheme="integer_shift",
-                        dt=grid.dx)
-        assert traj.times.size == CHUNK + 1
-        assert np.all(np.signbit(traj.snapshots[-1].data[0, : grid.n_nodes - CHUNK]))
+        u0 = StateVector(grid, 1, np.full((2, nn), -0.0))
+        traj = simulate(spec, u0, steps * grid.dx, grid, scheme="integer_shift",
+                        dt=grid.dx, snapshot_stride=1)
+        assert traj.times.size == len(traj.snapshots) == steps + 1
+        assert not np.any(traj.sup)
+        for k, snap in enumerate(traj.snapshots):
+            want = np.zeros((2, nn), dtype=bool)
+            want[0, : max(nn - k, 0)] = True
+            want[1, k:] = True
+            assert not snap.data.any()
+            assert np.array_equal(np.signbit(snap.data), want), k
+
+    @pytest.mark.parametrize("q", [[[1.0, 1.0]], [[-1.0, -0.5]]])
+    @pytest.mark.parametrize("dynamics", ["z_target", "gamma_target"])
+    def test_target_at_rest_matches_per_step_reference(self, s3_cascade, dynamics, q):
+        # both S3 targets are exactly zero long before t = 6 under integer
+        # shifts, so most stamps come from the fixed state; their snapshots
+        # must still carry the reference's bits, signed zeros included
+        grid = Grid(32)
+        system = HyperbolicSystem(3, 2, (Profile.constant(-2), Profile.constant(-1),
+                                         Profile.constant(1)), np.array(q))
+        op = IntegralOperator.from_kernel(build_kernel(system, s3_cascade, grid))
+        if dynamics == "z_target":
+            spec = ClosedLoopSpec.z_target(system, build_z_source(s3_cascade))
+        else:
+            spec = ClosedLoopSpec.gamma_target(system, gamma_source(s3_cascade),
+                                               FeedbackLaw.fredholm(op))
+        u0 = random_state(grid, 3, 2, 12)
+        steps = 6 * grid.n_cells
+        for stride in (1, 7, 10**9):
+            ref = reference_march(spec, u0, steps, grid, "integer_shift", grid.dx, stride)
+            traj = simulate(spec, u0, 6.0, grid, scheme="integer_shift", dt=grid.dx,
+                            snapshot_stride=stride)
+            assert not ref.sup[-1].any()
+            for name in ("times", "sup", "l2", "snapshot_times"):
+                assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+            assert len(traj.snapshots) == len(ref.snapshots)
+            for got, want in zip(traj.snapshots, ref.snapshots):
+                assert got.data.tobytes() == want.data.tobytes()
+
+    def test_march_stops_stepping_at_rest(self, s3_system, s3_cascade, monkeypatch):
+        # under integer shifts the fredholm gamma loop is exactly zero after
+        # its transit and stops evaluating the feedback; under upwind it never
+        # reaches zero, and every step evaluates it
+        grid = Grid(64)
+        op = IntegralOperator.from_kernel(build_kernel(s3_system, s3_cascade, grid))
+        spec = ClosedLoopSpec.gamma_target(s3_system, gamma_source(s3_cascade),
+                                           FeedbackLaw.fredholm(op))
+        u0 = apply_fredholm(op, smooth_state(grid, 3, 2, 42))
+        calls = []
+        evaluate = FeedbackLaw.evaluate
+        monkeypatch.setattr(FeedbackLaw, "evaluate",
+                            lambda law, state: calls.append(1) or evaluate(law, state))
+        traj = simulate(spec, u0, 6.0, grid, scheme="integer_shift", dt=grid.dx)
+        assert traj.sup_total[-1] == 0.0
+        assert len(calls) < traj.times.size - 1
+        calls.clear()
+        traj = simulate(spec, u0, 6.0, grid, scheme="upwind")
+        assert traj.sup_total[-1] > 0.0
+        assert len(calls) == traj.times.size - 1
 
 
 def march_pair(system, g, grid, z0, t_final):

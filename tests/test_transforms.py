@@ -83,6 +83,19 @@ class TestApplyInvert:
         back = invert_fredholm(op, apply_fredholm(op, z))
         assert np.max(np.abs(back.data - z.data)) <= 1e-12 * z.sup_norm()
 
+    @pytest.mark.parametrize("zero_rows", [(0,), (1,), (0, 1)])
+    def test_zero_source_matches_dense_blocks(self, zero_rows):
+        # the blocks whose source component is exactly zero, a -0.0 entry
+        # included, are skipped; the result is the per-block reference's
+        _, _, grid, op = make_m3_operator(32)
+        data = random_state(grid, 4, 3, 11).data
+        data[list(zero_rows)] = 0.0
+        data[zero_rows[0], 5] = -0.0
+        ref = data.copy()
+        for (i, j), kw in op.weighted.items():
+            ref[i - 1] -= kw @ data[j - 1]
+        assert np.array_equal(apply_fredholm(op, StateVector(grid, 3, data)).data, ref)
+
     def test_two_level_substitution_formula(self, s3_system, s3_cascade):
         grid = Grid(64)
         op = s3_operator(s3_system, s3_cascade)
