@@ -1,4 +1,4 @@
-"""Reproduce the optimal-vs-naive stabilization study on the S3 system.
+"""Reproduce the optimal-vs-naive stabilization study on the S3 system of ``scenarios/s3.cfg``.
 
 For each grid size this script synthesizes the transform kernel, closes the
 gamma-target loop once with the optimal-time feedback and once with zero
@@ -20,19 +20,16 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hyperstab import (  # noqa: E402
-    CascadeMatrix,
     ClosedLoopSpec,
     FeedbackLaw,
     Grid,
-    HyperbolicSystem,
     IntegralOperator,
-    Profile,
     StateVector,
     apply_fredholm,
     build_kernel,
     commutation_check,
-    gamma_source,
     kernel_oracle_solve,
+    load_scenario,
     naive_time,
     optimal_time,
     simulate,
@@ -40,19 +37,7 @@ from hyperstab import (  # noqa: E402
 )
 from hyperstab.kernels import format_floats, oracle_gap, write_csv  # noqa: E402
 
-
-def s3():
-    system = HyperbolicSystem(
-        3, 2,
-        (Profile.constant(-2), Profile.constant(-1), Profile.constant(1)),
-        np.array([[1.0, 1.0]]),
-    )
-    cascade = CascadeMatrix(3, 2, {
-        (2, 1): Profile.constant(1),
-        (3, 1): Profile.constant(1),
-        (3, 2): Profile.constant(1),
-    })
-    return system, cascade
+S3 = Path(__file__).resolve().parent.parent / "scenarios" / "s3.cfg"
 
 
 def main() -> int:
@@ -66,7 +51,8 @@ def main() -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    system, cascade = s3()
+    scn = load_scenario(S3)
+    system, cascade = scn.system(), scn.cascade()
     rows = []
     for n_cells in grids:
         grid = Grid(n_cells)
@@ -80,13 +66,12 @@ def main() -> int:
 
         arch = np.sin(np.pi * grid.nodes) ** 2
         gamma0 = StateVector(grid, 2, np.vstack([arch, arch, arch]))
-        src = gamma_source(cascade)
         run_opt = simulate(
-            ClosedLoopSpec.gamma_target(system, src, FeedbackLaw.fredholm(op)),
+            ClosedLoopSpec.gamma_target(system, cascade, FeedbackLaw.fredholm(op)),
             gamma0, 3.0, grid, scheme="integer_shift", dt=dt, snapshot_stride=10**9,
         )
         run_naive = simulate(
-            ClosedLoopSpec.gamma_target(system, src, FeedbackLaw.zero()),
+            ClosedLoopSpec.gamma_target(system, cascade, FeedbackLaw.zero()),
             gamma0, 3.0, grid, scheme="integer_shift", dt=dt, snapshot_stride=10**9,
         )
         z0 = StateVector(grid, 2, np.vstack([arch, 0.5 * arch, -arch]))

@@ -10,7 +10,6 @@ from .kernels import (
     CascadeMatrix,
     CFLError,
     FredholmKernel,
-    TargetSource,
     build_kernel,
     build_z_source,
     eval_kernel,

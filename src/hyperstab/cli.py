@@ -24,7 +24,6 @@ from .kernels import (
     build_kernel,
     build_z_source,
     format_floats,
-    gamma_source,
     kernel_oracle_solve,
     kernel_residual,
     kernel_rows,
@@ -51,6 +50,20 @@ from .system_model import (
 from .transforms import FeedbackLaw, IntegralOperator, apply_fredholm, inverse_kernel, invert_fredholm
 
 __all__ = ["main"]
+
+
+# the tolerances of verify, sweep and simulate; no scenario key sets them, as
+# a scenario that could loosen its own checks would certify itself
+TOLERANCES = {
+    "vanish_rel": 1e-2,
+    "vanish_slack_steps": 5.0,
+    "upwind_vanish_slack_frac": 0.25,
+    "kernel_gap": 0.05,
+    "kernel_interior_coeff": 25.0,
+    "commutation_rel": 0.05,
+    "roundtrip": 1e-12,
+    "inverse_identity": 1e-10,
+}
 
 
 @dataclass
@@ -86,9 +99,7 @@ def _closed_loop(scn: Scenario, grid: Grid, op: IntegralOperator | None) -> Clos
     if scn.dynamics == "plant":
         return ClosedLoopSpec.plant(system, _feedback_law(scn, grid, op))
     if scn.dynamics == "gamma_target":
-        return ClosedLoopSpec.gamma_target(
-            system, gamma_source(scn.cascade()), _feedback_law(scn, grid, op)
-        )
+        return ClosedLoopSpec.gamma_target(system, scn.cascade(), _feedback_law(scn, grid, op))
     return ClosedLoopSpec.z_target(system, build_z_source(scn.cascade()))
 
 
@@ -137,9 +148,9 @@ def _cmd_simulate(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     lines = [f"[{scn.name}] simulated {scn.dynamics} to t={scn.t_final!r} "
              f"(N={grid.n_cells}, dt={traj.dt!r})"]
     if traj.initial_sup() > 0.0:
-        vt = vanish_time(traj, scn.tol("vanish_rel"))
+        vt = vanish_time(traj, TOLERANCES["vanish_rel"])
         lines.append(
-            f"[{scn.name}] vanish_time(tol={scn.tol('vanish_rel'):g}) = "
+            f"[{scn.name}] vanish_time(tol={TOLERANCES['vanish_rel']:g}) = "
             f"{'none' if vt is None else repr(vt)}"
         )
     lines.append(f"[{scn.name}] final sup norm = {float(traj.sup[-1, 2])!r}")
@@ -175,7 +186,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     imax = max((r.interior_max for r in res.values()), default=0.0)
     band = g.tabulate(grid.nodes)
     gmax = float(np.max(np.abs(band))) if band.size else 0.0
-    itol = scn.tol("kernel_interior_coeff") * grid.dx * max(1.0, gmax)
+    itol = TOLERANCES["kernel_interior_coeff"] * grid.dx * max(1.0, gmax)
     checks.append(
         Check("kernel_interior", imax <= itol, f"max residual {imax:.3g} (tol {itol:.3g})")
     )
@@ -184,8 +195,8 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     checks.append(
         Check(
             "kernel_oracle_gap",
-            gap_mean <= scn.tol("kernel_gap"),
-            f"mean gap {gap_mean:.3g} (tol {scn.tol('kernel_gap'):g}), max gap {gap_max:.3g}",
+            gap_mean <= TOLERANCES["kernel_gap"],
+            f"mean gap {gap_mean:.3g} (tol {TOLERANCES['kernel_gap']:g}), max gap {gap_max:.3g}",
         )
     )
 
@@ -198,7 +209,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
         rt_err = max(rt_err, float(np.max(np.abs(back.data - z.data))) / z.sup_norm())
         tr_err = max(tr_err, float(np.max(np.abs(gam.data[:, 0] - z.data[:, 0]))))
     checks.append(
-        Check("round_trip", rt_err <= scn.tol("roundtrip"), f"rel sup error {rt_err:.3g}")
+        Check("round_trip", rt_err <= TOLERANCES["roundtrip"], f"rel sup error {rt_err:.3g}")
     )
     checks.append(Check("trace_preservation", tr_err == 0.0, f"mismatch {tr_err:.3g}"))
 
@@ -206,7 +217,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     checks.append(
         Check(
             "inverse_identity",
-            id_err <= scn.tol("inverse_identity"),
+            id_err <= TOLERANCES["inverse_identity"],
             f"sup deviation {id_err:.3g}",
         )
     )
@@ -219,8 +230,8 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
         z_ok = tail <= 1e-12 * z_traj.initial_sup()
         z_detail = f"sup after T_opt+2dt = {tail:.3g}"
     else:
-        vt = vanish_time(z_traj, scn.tol("vanish_rel"))
-        slack = scn.tol("upwind_vanish_slack_frac") * topt
+        vt = vanish_time(z_traj, TOLERANCES["vanish_rel"])
+        slack = TOLERANCES["upwind_vanish_slack_frac"] * topt
         z_ok = vt is not None and vt <= topt + slack
         z_detail = f"vanish_time = {'none' if vt is None else repr(vt)} (limit {topt + slack!r})"
     checks.append(Check("z_vanish_by_T_opt", z_ok, z_detail))
@@ -228,26 +239,26 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     g_traj = pair_traj
     if scn.feedback_kind != "fredholm":
         g_traj = simulate(
-            ClosedLoopSpec.gamma_target(system, gamma_source(g), _feedback_law(scn, grid, op)),
+            ClosedLoopSpec.gamma_target(system, g, _feedback_law(scn, grid, op)),
             pair_traj.snapshots[0], t_run, grid, scheme=scn.scheme, dt=dt, snapshot_stride=10**9,
         )
-    vt = vanish_time(g_traj, scn.tol("vanish_rel"))
+    vt = vanish_time(g_traj, TOLERANCES["vanish_rel"])
     if scn.scheme == "integer_shift":
-        slack = scn.tol("vanish_slack_steps") * g_traj.dt
+        slack = TOLERANCES["vanish_slack_steps"] * g_traj.dt
     else:
-        slack = scn.tol("upwind_vanish_slack_frac") * topt
+        slack = TOLERANCES["upwind_vanish_slack_frac"] * topt
     g_ok = vt is not None and vt <= topt + slack
     checks.append(
         Check(
             "gamma_vanish_by_T_opt",
             g_ok,
-            f"vanish_time(tol={scn.tol('vanish_rel'):g}) = "
+            f"vanish_time(tol={TOLERANCES['vanish_rel']:g}) = "
             f"{'none' if vt is None else repr(vt)} (limit {topt + slack!r}, "
             f"feedback {scn.feedback_kind})",
         )
     )
 
-    cm_tol = scn.tol("commutation_rel") * pair_traj.initial_sup()
+    cm_tol = TOLERANCES["commutation_rel"] * pair_traj.initial_sup()
     checks.append(
         Check("commutation", dev <= cm_tol, f"max deviation {dev:.3g} (tol {cm_tol:.3g})")
     )
@@ -297,7 +308,7 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
             spec, u0, scn.t_final, grid,
             scheme=scn.scheme, dt=dt, snapshot_stride=10**9,
         )
-        vt = vanish_time(traj, scn.tol("vanish_rel"))
+        vt = vanish_time(traj, TOLERANCES["vanish_rel"])
         if scn.dynamics == "gamma_target" and scn.feedback_kind == "zero" and scn.m >= 2:
             expected = naive_time(system, grid)
         else:

@@ -38,7 +38,6 @@ from .system_model import Grid, HyperbolicSystem, PhiMap, Profile, phi_map
 
 __all__ = [
     "CascadeMatrix",
-    "TargetSource",
     "FredholmKernel",
     "KernelResidual",
     "CFLError",
@@ -97,34 +96,16 @@ class CascadeMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class TargetSource:
-    """Trace-coupling source for one of the two target systems.
-
-    ``gamma`` mode keeps the full cascade band; ``z`` mode keeps only the
-    lower (n - m)-by-m block, so the left-moving components decouple.
-    """
-
-    mode: str  # "gamma" | "z"
-    matrix: CascadeMatrix
-
-    def __post_init__(self):
-        if self.mode not in ("gamma", "z"):
-            raise ValueError(f"unknown target-source mode {self.mode!r}")
-        if self.mode == "z":
-            for (i, _) in self.matrix.entries:
-                if i <= self.matrix.m:
-                    raise ValueError("z-mode source must have zero upper block")
+def gamma_source(g: CascadeMatrix) -> CascadeMatrix:
+    """The gamma target's trace band: the whole cascade."""
+    return g
 
 
-def gamma_source(g: CascadeMatrix) -> TargetSource:
-    return TargetSource("gamma", g)
-
-
-def build_z_source(g: CascadeMatrix) -> TargetSource:
-    """Drop the strictly-lower m-by-m block, keeping the dense lower block."""
+def build_z_source(g: CascadeMatrix) -> CascadeMatrix:
+    """The z target's trace band: the cascade without its strictly-lower
+    m-by-m block, so the left-moving components decouple."""
     kept = {key: prof for key, prof in g.entries.items() if key[0] > g.m}
-    return TargetSource("z", CascadeMatrix(g.n, g.m, kept))
+    return CascadeMatrix(g.n, g.m, kept)
 
 
 def eval_kernel(

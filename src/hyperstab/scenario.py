@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,18 +46,7 @@ import numpy as np
 from .kernels import CascadeMatrix
 from .system_model import Grid, HyperbolicSystem, Profile, StateVector, validate_system
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "DEFAULT_TOLERANCES"]
-
-DEFAULT_TOLERANCES = {
-    "vanish_rel": 1e-2,
-    "vanish_slack_steps": 5.0,
-    "upwind_vanish_slack_frac": 0.25,
-    "kernel_gap": 0.05,
-    "kernel_interior_coeff": 25.0,
-    "commutation_rel": 0.05,
-    "roundtrip": 1e-12,
-    "inverse_identity": 1e-10,
-}
+__all__ = ["Scenario", "ScenarioError", "load_scenario"]
 
 _DYNAMICS = ("plant", "gamma_target", "z_target")
 _SCHEMES = ("upwind", "integer_shift")
@@ -93,10 +82,6 @@ class Scenario:
     init_specs: dict[int, tuple]
     seed: int
     snapshot_stride: int
-    tolerances: dict[str, float] = field(default_factory=dict)
-
-    def tol(self, key: str) -> float:
-        return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
     def grid(self, n_cells: int | None = None) -> Grid:
         return Grid(n_cells if n_cells is not None else self.grid_cells)
@@ -361,16 +346,6 @@ def load_scenario(path: str | Path) -> Scenario:
     if stride is not None and stride < 1:
         bad.append(f"snapshot.stride: must be >= 1, got {stride}")
 
-    tolerances: dict[str, float] = {}
-    for key in [k for k in kv if k.startswith("tol.")]:
-        short = key[4:]
-        if short not in DEFAULT_TOLERANCES:
-            bad.append(f"{key}: unknown tolerance (choose from "
-                       f"{sorted(DEFAULT_TOLERANCES)})")
-            kv.pop(key)
-        elif (value := take(key, float)) is not None:
-            tolerances[short] = value
-
     for key in kv:
         bad.append(f"{key}: unknown field")
 
@@ -425,7 +400,6 @@ def load_scenario(path: str | Path) -> Scenario:
         init_specs=init_specs,
         seed=seed,
         snapshot_stride=stride,
-        tolerances=tolerances,
     )
 
     # the assembled objects enforce the structural invariants; surface any

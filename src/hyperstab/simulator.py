@@ -1,12 +1,14 @@
 """Explicit time marching for the plant and both trace-coupled targets.
 
-One step does, in order: (a) transport, by first-order upwinding toward the
-flow direction, one difference pass over all rows scaled by dt times the
-upstream speeds, or by an exact whole-cell shift when every speed moves an
-integer number of cells per step; (b) the source, by explicit Euler on the
-current snapshot, the populated interior coupling entries for the plant,
-gathered one rank of entries over all coupled rows at a time, and
-source-band times the current x = 0 trace for the targets; (c) boundaries,
+A closed loop without a trace band is the plant; the gamma and z targets are
+one transport system that differ only in their band.  One step does, in
+order: (a) transport, by first-order upwinding toward the flow direction,
+one difference pass over all rows scaled by dt times the upstream speeds, or
+by an exact whole-cell shift when every speed moves an integer number of
+cells per step; (b) the source, by explicit Euler on the current snapshot:
+without a band, the populated interior coupling entries, gathered one rank
+of entries over all coupled rows at a time; with one, the band times the
+current x = 0 trace, sigma unread; (c) boundaries,
 right-moving components at x = 0 from the constant coupling against the
 freshly transported left trace, left-moving components at x = 1 from the
 feedback evaluated on the current snapshot.  What does not change from step
@@ -36,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    CascadeMatrix,
     CFLError,
-    TargetSource,
     build_z_source,
     format_floats,
-    gamma_source,
     keyed_lines,
     write_csv,
 )
@@ -70,43 +71,30 @@ NORM_BATCH = 256  # stamps of the norm series formatted as one CSV block
 
 @dataclass(frozen=True)
 class ClosedLoopSpec:
-    """System, dynamics mode, and the boundary data closing the loop."""
+    """System, boundary feedback and the trace band closing the loop.
+
+    Without a band the loop is the plant, coupled by ``system.sigma``; with
+    one it is a target system, driven by ``band`` times the x = 0 trace of
+    the left-moving components, and ``system.sigma`` is not read.
+    """
 
     system: HyperbolicSystem
-    dynamics: str  # "plant" | "gamma_target" | "z_target"
     feedback: FeedbackLaw
-    source: TargetSource | None = None
-
-    def __post_init__(self):
-        if self.dynamics == "plant":
-            if self.source is not None:
-                raise ValueError("plant dynamics carries no trace source")
-        elif self.dynamics in ("gamma_target", "z_target"):
-            if self.source is None:
-                raise ValueError(f"{self.dynamics} needs a trace source")
-            want = "gamma" if self.dynamics == "gamma_target" else "z"
-            if self.source.mode != want:
-                raise ValueError(
-                    f"{self.dynamics} got a {self.source.mode!r}-mode source"
-                )
-            if self.dynamics == "z_target" and self.feedback.variant != "zero":
-                raise ValueError("the z target system has zero boundary feedback")
-        else:
-            raise ValueError(f"unknown dynamics {self.dynamics!r}")
+    band: CascadeMatrix | None = None
 
     @classmethod
     def plant(cls, system: HyperbolicSystem, feedback: FeedbackLaw) -> "ClosedLoopSpec":
-        return cls(system, "plant", feedback)
+        return cls(system, feedback)
 
     @classmethod
     def gamma_target(
-        cls, system: HyperbolicSystem, source: TargetSource, feedback: FeedbackLaw
+        cls, system: HyperbolicSystem, band: CascadeMatrix, feedback: FeedbackLaw
     ) -> "ClosedLoopSpec":
-        return cls(system, "gamma_target", feedback, source)
+        return cls(system, feedback, band)
 
     @classmethod
-    def z_target(cls, system: HyperbolicSystem, source: TargetSource) -> "ClosedLoopSpec":
-        return cls(system, "z_target", FeedbackLaw.zero(), source)
+    def z_target(cls, system: HyperbolicSystem, band: CascadeMatrix) -> "ClosedLoopSpec":
+        return cls(system, FeedbackLaw.zero(), band)
 
 
 @dataclass
@@ -200,16 +188,16 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    # step plan: the populated sigma entries (plant) by rank r, the r-th entry
-    # in ascending j of each row, rows with more entries first so that rank r
-    # is the head of ``acc``; the source band (targets); the x = 0 fill widths
+    # step plan: without a band, the populated sigma entries by rank r, the
+    # r-th entry in ascending j of each row, rows with more entries first so
+    # that rank r is the head of ``acc``; else the band; the x = 0 fill widths
     coupling: dict[int, list[tuple[int, np.ndarray]]] = {}
     band = None
-    if spec.dynamics == "plant":
+    if spec.band is None:
         for (i, j), prof in sorted((system.sigma or {}).items()):
             coupling.setdefault(i - 1, []).append((j - 1, prof(grid.nodes)))
     else:
-        band = spec.source.matrix.tabulate(grid.nodes)  # (n, m, nn)
+        band = spec.band.tabulate(grid.nodes)  # (n, m, nn)
     rows = sorted(coupling, key=lambda i: -len(coupling[i]))
     ranks = []
     for r in range(len(coupling[rows[0]]) if rows else 0):
@@ -329,7 +317,7 @@ def commutation_check(
     """
     system, g, grid = op.kernel.system, op.kernel.source, op.kernel.grid
     z_spec = ClosedLoopSpec.z_target(system, build_z_source(g))
-    g_spec = ClosedLoopSpec.gamma_target(system, gamma_source(g), FeedbackLaw.fredholm(op))
+    g_spec = ClosedLoopSpec.gamma_target(system, g, FeedbackLaw.fredholm(op))
     dev = 0.0
     for (z_traj, z), (g_traj, gam) in zip(
         _march(z_spec, z0, t_final, grid, scheme, dt, 10**9),

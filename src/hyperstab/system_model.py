@@ -348,7 +348,3 @@ class StateVector:
             raise ValueError(f"unknown block {block!r}")
         norms = block_norms(self.data, self.m, self.grid.trapezoid_weights())
         return float(norms[kind][BLOCKS.index(block)])
-
-    @classmethod
-    def zeros(cls, n: int, m: int, grid: Grid) -> "StateVector":
-        return cls(grid, m, np.zeros((n, grid.n_nodes)))

@@ -41,6 +41,10 @@ def s3_cascade() -> CascadeMatrix:
     )
 
 
+def zero_state(grid: Grid, n: int, m: int) -> StateVector:
+    return StateVector(grid, m, np.zeros((n, grid.n_nodes)))
+
+
 def random_state(grid: Grid, n: int, m: int, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
     return StateVector(grid, m, rng.uniform(-1.0, 1.0, (n, grid.n_nodes)))
@@ -81,7 +85,7 @@ def reference_march(spec: ClosedLoopSpec, u0: StateVector, steps: int, grid: Gri
     sig = np.zeros((n, n, nn))
     for (i, j), prof in (system.sigma or {}).items():
         sig[i - 1, j - 1] = prof(grid.nodes)
-    band = None if spec.dynamics == "plant" else spec.source.matrix.tabulate(grid.nodes)
+    band = None if spec.band is None else spec.band.tabulate(grid.nodes)
 
     def norms(data):
         mag, sq = np.abs(data), w * data * data

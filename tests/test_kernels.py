@@ -43,19 +43,19 @@ class TestCascadeStructure:
 
     def test_z_source_keeps_lower_block(self, s3_cascade):
         zsrc = build_z_source(s3_cascade)
-        assert zsrc.mode == "z"
-        assert set(zsrc.matrix.entries) == {(3, 1), (3, 2)}
+        assert (zsrc.n, zsrc.m) == (3, 2)
+        assert set(zsrc.entries) == {(3, 1), (3, 2)}
 
     def test_z_source_zero_upper_rows(self):
         g = CascadeMatrix(4, 3, {(2, 1): Profile.constant(1),
                                  (3, 2): Profile.constant(1),
                                  (4, 2): Profile.constant(5)})
         zsrc = build_z_source(g)
-        assert all(i > 3 for (i, _) in zsrc.matrix.entries)
+        assert all(i > 3 for (i, _) in zsrc.entries)
 
     def test_zero_maps_to_zero(self):
         zsrc = build_z_source(CascadeMatrix(3, 2, {}))
-        assert zsrc.matrix.entries == {}
+        assert zsrc.entries == {}
 
 
 class TestEvalKernel:

@@ -280,16 +280,28 @@ class TestCliVerify:
     def test_each_target_loop_marched_once(self, tmp_path, monkeypatch, name, marches):
         # the z/gamma pair serves the vanishing checks and the commutation
         # check; only a law other than fredholm needs a march of its own.
-        # simulate and commutation_check both march through _march.
+        # simulate and commutation_check both march through _march. A target
+        # is labelled by its band: the z band has no strictly-lower m x m block.
         calls = []
 
         def counted(spec, *args, real=simulator._march, **kwargs):
-            calls.append(spec.dynamics)
+            b = spec.band
+            calls.append("plant" if b is None else
+                         "gamma_target" if any(i <= b.m for i, _ in b.entries) else "z_target")
             return real(spec, *args, **kwargs)
 
         monkeypatch.setattr(simulator, "_march", counted)
         main(["verify", str(SCENARIOS / f"{name}.cfg"), "--out", str(tmp_path), "--quiet"])
         assert calls == marches
+
+    def test_tolerance_key_rejected(self, tmp_path, capsys):
+        # verify's tolerances are fixed: a scenario that could loosen them
+        # would turn its own FAIL into a PASS
+        cfg = (SCENARIOS / "s3_naive.cfg").read_text() + "tol.vanish_slack_steps = inf\n"
+        path = write_cfg(tmp_path, cfg, "s3_naive.cfg")
+        rc = main(["verify", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "tol.vanish_slack_steps: unknown field" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "system.n = 3\n")

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hyperstab import (
     build_z_source,
     commutation_check,
     gamma_source,
+    load_scenario,
     naive_time,
     optimal_time,
     simulate,
@@ -32,7 +35,10 @@ from tests.conftest import (
     random_state,
     reference_march,
     smooth_state,
+    zero_state,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def single_left_system():
@@ -51,7 +57,7 @@ class TestMarchBasics:
             s3_system, gamma_source(s3_cascade), FeedbackLaw.zero()
         )
         for scheme, dt in (("upwind", None), ("integer_shift", grid.dx)):
-            traj = simulate(spec, StateVector.zeros(3, 2, grid), 1.0, grid,
+            traj = simulate(spec, zero_state(grid, 3, 2), 1.0, grid,
                             scheme=scheme, dt=dt)
             assert np.all(traj.sup == 0.0)
 
@@ -70,7 +76,7 @@ class TestMarchBasics:
     def test_vanish_time_zero_data_rejected(self, s3_system, s3_cascade):
         grid = Grid(16)
         spec = ClosedLoopSpec.z_target(s3_system, build_z_source(s3_cascade))
-        traj = simulate(spec, StateVector.zeros(3, 2, grid), 0.5, grid,
+        traj = simulate(spec, zero_state(grid, 3, 2), 0.5, grid,
                         scheme="integer_shift", dt=grid.dx)
         with pytest.raises(ValueError):
             vanish_time(traj, 1e-6)
@@ -94,17 +100,17 @@ class TestSchemeValidation:
         grid = Grid(32)
         spec = ClosedLoopSpec.z_target(s3_system, build_z_source(s3_cascade))
         with pytest.raises(CFLError):
-            simulate(spec, StateVector.zeros(3, 2, grid), 1.0, grid,
+            simulate(spec, zero_state(grid, 3, 2), 1.0, grid,
                      scheme="upwind", dt=grid.dx)  # max speed 2 -> ratio 2
 
     def test_integer_shift_needs_integers(self, s3_system, s3_cascade):
         grid = Grid(32)
         spec = ClosedLoopSpec.z_target(s3_system, build_z_source(s3_cascade))
         with pytest.raises(ValueError):
-            simulate(spec, StateVector.zeros(3, 2, grid), 1.0, grid,
+            simulate(spec, zero_state(grid, 3, 2), 1.0, grid,
                      scheme="integer_shift", dt=0.4 * grid.dx)
         with pytest.raises(ValueError):
-            simulate(spec, StateVector.zeros(3, 2, grid), 1.0, grid,
+            simulate(spec, zero_state(grid, 3, 2), 1.0, grid,
                      scheme="integer_shift")
 
     def test_integer_shift_needs_constant_speeds(self, s3_cascade):
@@ -116,7 +122,7 @@ class TestSchemeValidation:
         grid = Grid(32)
         spec = ClosedLoopSpec.z_target(sys_, build_z_source(s3_cascade))
         with pytest.raises(ValueError):
-            simulate(spec, StateVector.zeros(3, 2, grid), 1.0, grid,
+            simulate(spec, zero_state(grid, 3, 2), 1.0, grid,
                      scheme="integer_shift", dt=grid.dx)
 
     def test_invalid_system_rejected(self, s3_cascade):
@@ -127,7 +133,7 @@ class TestSchemeValidation:
         grid = Grid(16)
         spec = ClosedLoopSpec.z_target(sys_, build_z_source(s3_cascade))
         with pytest.raises(ValueError):
-            simulate(spec, StateVector.zeros(3, 2, grid), 0.5, grid,
+            simulate(spec, zero_state(grid, 3, 2), 0.5, grid,
                      scheme="integer_shift", dt=grid.dx)
 
     def test_snapshot_stride_below_one_rejected(self, s3_system, s3_cascade):
@@ -256,7 +262,7 @@ class TestIntegerShift:
         ref[1, nn - 1:] = fb[1]
         ref[2, 1:] = u[2, :nn - 1]
         ref[2, :1] = 0.0
-        ref += dt * np.einsum("imk,m->ik", src.matrix.tabulate(grid.nodes), u[:2, 0])
+        ref += dt * np.einsum("imk,m->ik", src.tabulate(grid.nodes), u[:2, 0])
         ref[2, :1] = s3_system.q @ ref[:2, 0]
         ref[:2, -1] = fb
         assert np.array_equal(traj.snapshots[-1].data, ref)
@@ -314,6 +320,23 @@ class TestGammaTarget:
             assert abs(vt - t_f) <= 5 * traj.dt
             mid = int(round(2.25 / traj.dt))
             assert traj.sup_total[mid] >= 0.01 * traj.initial_sup()
+
+
+def test_targets_do_not_read_sigma(s3_cascade):
+    # a trace band replaces the interior coupling: both targets built on
+    # plant_demo's sigma-bearing system march bit for bit like that system
+    # without sigma
+    scn = load_scenario(SCENARIOS / "plant_demo.cfg")
+    grid, system = scn.grid(), scn.system()
+    assert system.sigma
+    bare = dataclasses.replace(system, sigma=None)
+    u0 = scn.initial_state(grid)
+    for make in (lambda s: ClosedLoopSpec.gamma_target(s, s3_cascade, FeedbackLaw.zero()),
+                 lambda s: ClosedLoopSpec.z_target(s, build_z_source(s3_cascade))):
+        got, want = (simulate(make(s), u0, scn.t_final, grid) for s in (system, bare))
+        assert got.sup.tobytes() == want.sup.tobytes()
+        assert got.l2.tobytes() == want.l2.tobytes()
+        assert got.snapshots[-1].data.tobytes() == want.snapshots[-1].data.tobytes()
 
 
 class TestThreeLeftComponents:
@@ -551,7 +574,7 @@ class TestCommutation:
     def test_zero_data_zero_deviation(self, s3_system, s3_cascade):
         grid = Grid(64)
         _, (dev, _, _) = march_pair(s3_system, s3_cascade, grid,
-                                    StateVector.zeros(3, 2, grid), 2.0)
+                                    zero_state(grid, 3, 2), 2.0)
         assert dev == 0.0
 
     def test_refinement_reduces_deviation(self, s3_system, s3_cascade):

@@ -17,6 +17,7 @@ from hyperstab import (
     validate_system,
 )
 from hyperstab.system_model import block_norms, phi_map
+from tests.conftest import zero_state
 
 
 def make_system(*speeds, m, q=None):
@@ -205,7 +206,7 @@ class TestGridState:
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ValueError):
-            StateVector.zeros(3, 2, Grid(16)).sup_norm("left")
+            zero_state(Grid(16), 3, 2).sup_norm("left")
 
     def test_state_shape_checked(self):
         grid = Grid(16)

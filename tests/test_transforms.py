@@ -16,7 +16,7 @@ from hyperstab import (
     inverse_kernel,
     invert_fredholm,
 )
-from tests.conftest import feedback_H, random_state
+from tests.conftest import feedback_H, random_state, zero_state
 
 
 def s3_operator(s3_system, s3_cascade, n_cells=64) -> IntegralOperator:
@@ -190,7 +190,7 @@ class TestFeedback:
 
     def test_zero_state_zero_feedback(self, s3_system, s3_cascade):
         op = s3_operator(s3_system, s3_cascade)
-        out = FeedbackLaw.fredholm(op).evaluate(StateVector.zeros(3, 2, op.grid))
+        out = FeedbackLaw.fredholm(op).evaluate(zero_state(op.grid, 3, 2))
         assert np.all(out == 0.0)
 
     def test_both_routes_agree(self, s3_system, s3_cascade):
@@ -305,7 +305,7 @@ def test_compiled_fredholm_matches_reference(case, seed):
     out = law.evaluate(state)
     assert np.max(np.abs(out - feedback_H(op, state))) <= 1e-13 * state.sup_norm()
     assert out[0] == 0.0
-    assert np.all(law.evaluate(StateVector.zeros(system.n, system.m, grid)) == 0.0)
+    assert np.all(law.evaluate(zero_state(grid, system.n, system.m)) == 0.0)
 
 
 def impulse_inverse_tables(op):
