@@ -8,15 +8,16 @@ by an exact whole-cell shift when every speed moves an integer number of
 cells per step; (b) the source, by explicit Euler on the current snapshot:
 without a band, the populated interior coupling entries, gathered one rank
 of entries over all coupled rows at a time; with one, the band times the
-current x = 0 trace, sigma unread; (c) boundaries,
-right-moving components at x = 0 from the constant coupling against the
-freshly transported left trace, left-moving components at x = 1 from the
-feedback evaluated on the current snapshot.  What does not change from step
-to step, the zero feedback among it, is built once per run.  Steps write
-into a buffer of :data:`CHUNK` states, one norm pass per chunk records their
-stamps, and the state carried out of a chunk has each subnormal value (below
-2.2e-308) multiplied by 0.0, keeping its sign and every normal value: a
-decaying upwind tail would otherwise march on in slow subnormal arithmetic.
+current x = 0 trace, sigma unread; (c) boundaries, right-moving components at
+x = 0 from the constant coupling against the freshly transported left trace,
+left-moving components at x = 1 from the feedback evaluated on the current
+snapshot.  Steps write into a ring of :data:`CHUNK` states.  What does not
+change from step to step is built once per run: the zero feedback, and per
+slot every view a step reads or writes and the feedback's state wrapper.  One
+norm pass per chunk records their stamps, and the state carried out of a
+chunk has each subnormal value (below 2.2e-308) multiplied by 0.0, keeping
+its sign and every normal value: a decaying upwind tail would otherwise march
+on in slow subnormal arithmetic.
 Integer shifts move exact zeros to exact zeros, so finite-time vanishing is
 certified at machine precision.  A step reads only the carried state and
 the plan, so when the state carried out of a chunk is all zero and one probe
@@ -33,6 +34,7 @@ component or :data:`NORM_BATCH` stamps per written block.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +158,7 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     if u0.m != system.m or u0.n != system.n:
         raise ValueError("initial state block structure does not match the system")
 
-    n, m, nn = system.n, system.m, grid.n_nodes
-    dx = grid.dx
+    n, m, nn, dx = system.n, system.m, grid.n_nodes, grid.dx
     lam = system.speed_values(grid.nodes)
     max_speed = float(np.max(np.abs(lam)))
 
@@ -190,7 +191,7 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
 
     # step plan: without a band, the populated sigma entries by rank r, the
     # r-th entry in ascending j of each row, rows with more entries first so
-    # that rank r is the head of ``acc``; else the band; the x = 0 fill widths
+    # that rank r is the head of ``acc``; else the band
     coupling: dict[int, list[tuple[int, np.ndarray]]] = {}
     band = None
     if spec.band is None:
@@ -199,54 +200,73 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     else:
         band = spec.band.tabulate(grid.nodes)  # (n, m, nn)
     rows = sorted(coupling, key=lambda i: -len(coupling[i]))
-    ranks = []
+    acc = np.empty((len(rows), nn))
+    ranks = []  # per rank: columns, profiles, gather buffer and the head of acc
     for r in range(len(coupling[rows[0]]) if rows else 0):
         js, profs = zip(*(coupling[i][r] for i in rows if len(coupling[i]) > r))
-        ranks.append((np.array(js), np.array(profs)))
-    acc = np.empty((len(rows), nn))
+        gather = np.empty((len(js), nn)) if r else acc  # rank 0 gathers into acc itself
+        ranks.append((np.array(js), np.array(profs), gather, acc[: len(js)]))
     if rows and rows == [*range(rows[0], rows[0] + len(rows))]:
         rows = slice(rows[0], rows[0] + len(rows))  # a view: no gather, no scatter
     # validate_system puts the negative speeds in rows :m
     dt_lam = dt * np.concatenate([lam[:m, :-1], lam[m:, 1:]])
     diff = np.empty((n, nn - 1))
-    probe = np.empty((n, nn))  # one step past an all-zero chunk end
+    lifted = np.empty((n, nn))  # dt times the band on the trace
     zero = np.zeros(m) if spec.feedback.weights is None else None
-    fills = np.ones(n - m, dtype=int) if shifts is None else np.abs(shifts[m:])
 
-    def step(cur: np.ndarray, new: np.ndarray) -> None:
-        fb = zero if zero is not None else spec.feedback.evaluate(StateVector(grid, m, cur))
-        if shifts is not None:
-            for i, a in enumerate(shifts):
-                if a < 0:
-                    new[i, : nn + a] = cur[i, -a:]
-                    new[i, nn + a :] = fb[i]
-                else:
-                    new[i, a:] = cur[i, : nn - a]
-                    new[i, :a] = 0.0
+    def bind(cur: np.ndarray, new: np.ndarray):
+        """The step from ``cur`` into ``new``, on views of both made here."""
+        state = StateVector(grid, m, cur)
+        trace, left, fb_out = cur[:m, 0], new[:m, 0], new[:m, -1]
+        dst = new[rows] if isinstance(rows, slice) else None
+        fills = [new[i, : 1 if shifts is None else abs(shifts[i])] for i in range(m, n)]
+        if shifts is None:
+            up, down = cur[:, 1:], cur[:, :-1]
+            l_cur, l_diff, l_new = cur[:m, :-1], diff[:m], new[:m, :-1]
+            r_cur, r_diff, r_new = cur[m:, 1:], diff[m:], new[m:, 1:]
         else:
-            # cur - ((dt lam) diff) / dx, upstream differences of each row
-            np.subtract(cur[:, 1:], cur[:, :-1], out=diff)
-            np.multiply(diff, dt_lam, out=diff)
-            np.divide(diff, dx, out=diff)
-            np.subtract(cur[:m, :-1], diff[:m], out=new[:m, :-1])
-            np.subtract(cur[m:, 1:], diff[m:], out=new[m:, 1:])
-            new[:m, -1] = fb
-            new[m:, 0] = 0.0
+            moves = [(new[i, : nn + a], cur[i, -a:]) if a < 0 else (new[i, a:], cur[i, : nn - a])
+                     for i, a in enumerate(shifts)]
+            # x = 1 inflow but its last node, which the feedback write fills
+            inflows = [(new[i, nn + a : -1], i) for i, a in enumerate(shifts[:m]) if a < -1]
 
-        if ranks:
-            (j, s), *rest = ranks
-            np.multiply(s, cur.take(j, axis=0), out=acc)
-            for j, s in rest:
-                acc[: len(j)] += s * cur.take(j, axis=0)
-            np.multiply(acc, dt, out=acc)
-            new[rows] += acc
-        elif band is not None:
-            new += dt * np.einsum("imk,m->ik", band, cur[:m, 0])
+        def step() -> None:
+            fb = zero if zero is not None else spec.feedback.evaluate(state)
+            if shifts is None:
+                # cur - ((dt lam) diff) / dx, upstream differences of each row
+                np.subtract(up, down, out=diff)
+                np.multiply(diff, dt_lam, out=diff)
+                np.divide(diff, dx, out=diff)
+                np.subtract(l_cur, l_diff, out=l_new)
+                np.subtract(r_cur, r_diff, out=r_new)
+            else:
+                for to, src in moves:
+                    to[...] = src
+                for to, i in inflows:
+                    to[...] = fb[i]
 
-        # left coupling reads the freshly transported left trace
-        for i, fill, value in zip(range(m, n), fills, system.q @ new[:m, 0]):
-            new[i, :fill] = value
-        new[:m, -1] = fb
+            for j, s, g, head in ranks:
+                cur.take(j, axis=0, out=g, mode="clip")
+                np.multiply(s, g, out=g)
+                if g is not acc:
+                    head += g
+            if ranks:
+                np.multiply(acc, dt, out=acc)
+                if dst is None:
+                    new[rows] += acc
+                else:
+                    np.add(dst, acc, out=dst)
+            elif band is not None:
+                np.einsum("imk,m->ik", band, trace, out=lifted)
+                np.multiply(dt, lifted, out=lifted)
+                np.add(new, lifted, out=new)
+
+            # left coupling reads the freshly transported left trace
+            for to, value in zip(fills, system.q @ left):
+                to[...] = value
+            fb_out[...] = fb
+
+        return step
 
     steps = max(0, math.ceil(t_final / dt - 1e-9))
     w = grid.trapezoid_weights()
@@ -254,36 +274,39 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     sup, l2 = np.empty((2, steps + 1, 3))
     kept = [*range(0, steps, snapshot_stride), steps]
 
-    cur = u0.data.copy()
+    # slot k steps from slot k - 1 and slot 0 from the last one, which holds
+    # the initial state first; zeros, so that no step reads an unwritten slot
+    buf = np.zeros((CHUNK, n, nn))
+    cur = buf[-1]
+    cur[...] = u0.data
     sup[0], l2[0] = block_norms(cur, m, w)
     traj = Trajectory(grid, dt, times, sup, l2, times[kept], [StateVector(grid, m, cur.copy())])
     yield traj, cur[None]
 
-    buf = np.empty((min(CHUNK, steps), n, nn))
+    march = [bind(buf[k - 1], buf[k]) for k in range(CHUNK)]
     rest = None  # norms of the fixed state once the march is at rest
     for start in range(0, steps, CHUNK):
         chunk = buf[: min(CHUNK, steps - start)]
         stamps = slice(start + 1, start + 1 + len(chunk))
         if rest is None:
-            for new in chunk:
-                step(cur, new)
-                cur = new
+            for step in march[: len(chunk)]:
+                step()
+            cur = chunk[-1]
             # the carried state holds no subnormal; x * 0.0 keeps the sign of zero
             np.multiply(cur, 0.0, out=cur, where=np.abs(cur) < np.finfo(float).tiny)
             sup[stamps], l2[stamps] = block_norms(chunk, m, w)
         else:
             sup[stamps], l2[stamps] = rest
-        for k, state in enumerate(chunk, start=start + 1):
-            if k % snapshot_stride == 0 or k == steps:
-                traj.snapshots.append(StateVector(grid, m, state.copy()))
+        for k in kept[bisect_left(kept, stamps.start) : bisect_left(kept, stamps.stop)]:
+            traj.snapshots.append(StateVector(grid, m, chunk[k - stamps.start].copy()))
         yield traj, chunk
         # a step reads only the state and the plan, so a state it reproduces
         # bit for bit (signed zeros included) holds for every later stamp
-        if rest is None and not cur.any():
-            step(cur, probe)
-            if np.array_equal(probe.view(np.uint64), cur.view(np.uint64)):
-                buf[:] = probe
-                rest = block_norms(probe, m, w)
+        if rest is None and stamps.stop <= steps and not cur.any():
+            march[0]()  # the probe is the next chunk's first step: same state, same bits
+            if np.array_equal(buf[0].view(np.uint64), cur.view(np.uint64)):
+                buf[:] = cur
+                rest = block_norms(cur, m, w)
 
 
 def vanish_time(traj: Trajectory, tol_rel: float) -> float | None:

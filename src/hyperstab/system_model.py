@@ -203,19 +203,21 @@ def validate_system(system: HyperbolicSystem, grid: Grid) -> None:
     """
     lam = system.speed_values(grid.nodes)
     n, m = system.n, system.m
+    # one row per check, in message order; a NaN speed fails every check it is in
+    fails = np.vstack([~(lam[:-1] < lam[1:]), ~(lam[m - 1] < 0.0), ~(lam[m] > 0.0)])
+    ks, checks = np.nonzero(fails.T)
     bad: list[str] = []
-    for k, x in enumerate(grid.nodes):
-        col = lam[:, k]
-        for i in range(n - 1):
-            if not col[i] < col[i + 1]:
-                bad.append(f"lambda_{i + 1}({x:g})={col[i]:g} not below "
-                           f"lambda_{i + 2}({x:g})={col[i + 1]:g} (node {k})")
-        if not col[m - 1] < 0.0:
+    for k, i in zip(ks[:8], checks[:8]):
+        x, col = grid.nodes[k], lam[:, k]
+        if i < n - 1:
+            bad.append(f"lambda_{i + 1}({x:g})={col[i]:g} not below "
+                       f"lambda_{i + 2}({x:g})={col[i + 1]:g} (node {k})")
+        elif i == n - 1:
             bad.append(f"lambda_{m}({x:g})={col[m - 1]:g} not negative (node {k})")
-        if not col[m] > 0.0:
+        else:
             bad.append(f"lambda_{m + 1}({x:g})={col[m]:g} not positive (node {k})")
-    if len(bad) > 8:
-        bad[8:] = [f"and {len(bad) - 8} more violations"]
+    if ks.size > 8:
+        bad.append(f"and {ks.size - 8} more violations")
     if bad:
         raise ValueError("\n".join(bad))
 

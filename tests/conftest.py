@@ -71,6 +71,28 @@ def feedback_H(op: IntegralOperator, state: StateVector) -> np.ndarray:
     return out
 
 
+def validate_reference(system: HyperbolicSystem, grid: Grid) -> str | None:
+    """The message ``validate_system`` raises, built by the per-node loop it
+    replaced: node by node, the ordering checks, then the two sign checks;
+    the first 8 violations, then a count.  None when the system is valid."""
+    lam = system.speed_values(grid.nodes)
+    n, m = system.n, system.m
+    bad = []
+    for k, x in enumerate(grid.nodes):
+        col = lam[:, k]
+        for i in range(n - 1):
+            if not col[i] < col[i + 1]:
+                bad.append(f"lambda_{i + 1}({x:g})={col[i]:g} not below "
+                           f"lambda_{i + 2}({x:g})={col[i + 1]:g} (node {k})")
+        if not col[m - 1] < 0.0:
+            bad.append(f"lambda_{m}({x:g})={col[m - 1]:g} not negative (node {k})")
+        if not col[m] > 0.0:
+            bad.append(f"lambda_{m + 1}({x:g})={col[m]:g} not positive (node {k})")
+    if len(bad) > 8:
+        bad[8:] = [f"and {len(bad) - 8} more violations"]
+    return "\n".join(bad) if bad else None
+
+
 def reference_march(spec: ClosedLoopSpec, u0: StateVector, steps: int, grid: Grid,
                     scheme: str, dt: float, stride: int) -> Trajectory:
     """The closed loop marched one step at a time, the way ``simulate`` did

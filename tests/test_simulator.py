@@ -421,7 +421,7 @@ class TestChunkedMarch:
                                     + 3 * (scheme == "upwind"))
         grid = Grid(16)
         for steps, stride in itertools.product(
-            (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5), (1, 3, 10**9)
+            (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5), (1, 3, CHUNK, CHUNK + 1, 10**9)
         ):
             spec = random_loop(rng, dynamics, scheme, grid)
             lam = spec.system.speed_values(grid.nodes)
@@ -436,7 +436,8 @@ class TestChunkedMarch:
             for got, want in zip(traj.snapshots, ref.snapshots):
                 assert np.array_equal(got.data, want.data)
 
-    def test_sigma_ranks_match_per_step_reference(self):
+    @pytest.mark.parametrize("scheme", ["upwind", "integer_shift"])
+    def test_sigma_ranks_match_per_step_reference(self, scheme):
         # row 3 has three entries, so the rank gather runs three ranks and
         # ranks 2 and 3 hold row 3 alone; row 2 is uncoupled between coupled
         # rows 1 and 3, so the coupled rows are no contiguous block; row 1
@@ -445,17 +446,21 @@ class TestChunkedMarch:
         sigma = {(1, 1): Profile.constant(0.25), (3, 1): Profile.affine(0.3, -0.2),
                  (3, 2): Profile.constant(-0.4), (3, 4): Profile.affine(-0.1, 0.5),
                  (4, 2): Profile.affine(0.2, 0.1)}
-        speeds = (Profile.affine(-1.5, 0.2), Profile.constant(-0.7),
-                  Profile.affine(0.9, -0.1), Profile.constant(1.3))
+        if scheme == "upwind":
+            speeds = (Profile.affine(-1.5, 0.2), Profile.constant(-0.7),
+                      Profile.affine(0.9, -0.1), Profile.constant(1.3))
+        else:  # whole cells per step: -2, -1, 1 and 3
+            speeds = tuple(Profile.constant(c) for c in (-2, -1, 1, 3))
         system = HyperbolicSystem(4, 2, speeds, np.array([[0.5, -0.25], [0.75, 0.1]]), sigma)
         rng = np.random.default_rng(7)
         spec = ClosedLoopSpec.plant(
             system, FeedbackLaw.riesz(rng.uniform(-1, 1, (2, 4, grid.n_nodes)), grid))
         u0 = random_state(grid, 4, 2, 8)
-        dt = 0.8 * grid.dx / np.abs(system.speed_values(grid.nodes)).max()
+        dt = (0.8 * grid.dx / np.abs(system.speed_values(grid.nodes)).max()
+              if scheme == "upwind" else grid.dx)
         for steps in (CHUNK - 1, CHUNK, CHUNK + 1):
-            ref = reference_march(spec, u0, steps, grid, "upwind", dt, 1)
-            traj = simulate(spec, u0, steps * dt, grid, scheme="upwind", dt=dt)
+            ref = reference_march(spec, u0, steps, grid, scheme, dt, 1)
+            traj = simulate(spec, u0, steps * dt, grid, scheme=scheme, dt=dt)
             for name in ("times", "sup", "l2", "snapshot_times"):
                 assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
             assert len(traj.snapshots) == len(ref.snapshots) == steps + 1

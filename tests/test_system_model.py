@@ -17,7 +17,7 @@ from hyperstab import (
     validate_system,
 )
 from hyperstab.system_model import block_norms, phi_map
-from tests.conftest import zero_state
+from tests.conftest import validate_reference, zero_state
 
 
 def make_system(*speeds, m, q=None):
@@ -51,6 +51,31 @@ class TestValidate:
         with pytest.raises(ValueError) as err:
             validate_system(sys_, Grid(16))
         assert str(err.value).splitlines()[0] == "lambda_2(0.5)=0 not negative (node 8)"
+
+    def test_messages_match_per_node_reference(self):
+        # nodes 4 and 6 of ``few`` fail all three kinds of check, a NaN speed
+        # at node 6; ``many`` adds failures at nodes 1 to 3, so its messages
+        # are cut after 8, and more still between its nodes at 64 cells
+        nan = math.nan
+        few = [[-3, -3, -3, -3, 0.5, -3, -3, -3, -3],
+               [-2, -2, -2, -2, 0.4, -2, -1, -2, -2],
+               [1, 1, 1, 1, -0.1, 1, nan, 1, 1],
+               [2, 2, 2, 2, 2, 2, 2, 2, 2]]
+        many = [row.copy() for row in few]
+        many[0][1:3], many[1][3], many[3][1] = [-1, nan], 0.2, 0.5
+        messages = []
+        for speeds, cells in ((few, 8), (many, 8), (many, 64)):
+            sys_ = make_system(*(Profile.tabulated(s) for s in speeds), m=2)
+            want = validate_reference(sys_, Grid(cells))
+            with pytest.raises(ValueError) as err:
+                validate_system(sys_, Grid(cells))
+            assert str(err.value).splitlines() == want.splitlines()
+            messages.append(want.splitlines())
+        assert len(messages[0]) == 7
+        assert all(any(kind in line for line in messages[0])
+                   for kind in ("not below", "not negative", "not positive"))
+        assert messages[1][8:] == ["and 3 more violations"]
+        assert len(messages[2]) == 9
 
     def test_degenerate_m_rejected(self):
         with pytest.raises(ValueError):
