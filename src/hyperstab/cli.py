@@ -181,9 +181,10 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     kernel = build_kernel(system, g, grid)
     op = IntegralOperator.from_kernel(kernel)
     res = kernel_residual(system, g, kernel, grid)
-    bmax = max((max(r.boundary_x0_max, r.boundary_y0_max) for r in res.values()), default=0.0)
+    # np.max, unlike max(), lets a NaN through to FAIL the comparison
+    bmax = np.max([(r.boundary_x0_max, r.boundary_y0_max) for r in res.values()], initial=0.0)
     checks.append(Check("kernel_boundary", bmax <= 1e-12, f"max mismatch {bmax:.3g}"))
-    imax = max((r.interior_max for r in res.values()), default=0.0)
+    imax = np.max([r.interior_max for r in res.values()], initial=0.0)
     band = g.tabulate(grid.nodes)
     gmax = float(np.max(np.abs(band))) if band.size else 0.0
     itol = TOLERANCES["kernel_interior_coeff"] * grid.dx * max(1.0, gmax)
@@ -206,8 +207,8 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
         z = StateVector(grid, scn.m, rng.uniform(-1, 1, (scn.n, grid.n_nodes)))
         gam = apply_fredholm(op, z)
         back = invert_fredholm(op, gam)
-        rt_err = max(rt_err, float(np.max(np.abs(back.data - z.data))) / z.sup_norm())
-        tr_err = max(tr_err, float(np.max(np.abs(gam.data[:, 0] - z.data[:, 0]))))
+        rt_err = np.maximum(rt_err, np.max(np.abs(back.data - z.data)) / z.sup_norm())
+        tr_err = np.maximum(tr_err, np.max(np.abs(gam.data[:, 0] - z.data[:, 0])))
     checks.append(
         Check("round_trip", rt_err <= TOLERANCES["roundtrip"], f"rel sup error {rt_err:.3g}")
     )

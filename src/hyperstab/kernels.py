@@ -259,9 +259,9 @@ def oracle_gap(
     gap_max = gap_mean = 0.0
     for key, tab in oracle.items():
         diff = np.abs(tab - kernel.tables[key])
-        gap_max = max(gap_max, float(diff.max()))
-        gap_mean = max(gap_mean, float(diff.mean()))
-    return gap_max, gap_mean
+        gap_max = np.maximum(gap_max, diff.max())  # NaN-propagating, unlike max()
+        gap_mean = np.maximum(gap_mean, diff.mean())
+    return float(gap_max), float(gap_mean)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,10 @@ Blank lines and ``#`` comments are ignored.  Profile values take the forms
 ``poly``.  Initial data presets are ``constant:v``, ``bump[:amp]`` (a
 sine-squared arch), ``random[:amp]`` (seeded, uniform node noise) or
 ``table:path``.  ``dt`` is a float or ``K*dx`` so sweeps can rescale it
-with the grid.  Random presets draw from one generator seeded by
-``init.seed``, consumed in ascending component order, which makes every
-resolved scenario deterministic.
+with the grid.  Every number, table samples included, must be finite.
+Random presets draw from one generator seeded by ``init.seed``, consumed in
+ascending component order, which makes every resolved scenario
+deterministic.
 """
 
 from __future__ import annotations
@@ -114,9 +115,8 @@ class Scenario:
             elif kind == "random":
                 data[i - 1] = rng.uniform(-spec[1], spec[1], grid.n_nodes)
             elif kind == "table":
-                samples = _read_samples(spec[1])
-                t = np.linspace(0.0, 1.0, len(samples))
-                data[i - 1] = np.interp(x, t, samples)
+                t = np.linspace(0.0, 1.0, len(spec[1]))
+                data[i - 1] = np.interp(x, t, spec[1])
         return StateVector(grid, self.m, data)
 
     def load_riesz_tables(self, grid: Grid) -> np.ndarray:
@@ -166,8 +166,16 @@ class Scenario:
         return tables
 
 
+def _number(text: str) -> float:
+    """``float(text)``, with inf and nan refused like any other non-number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _read_samples(path: Path) -> np.ndarray:
-    vals = [float(line) for line in Path(path).read_text().split()]
+    vals = [_number(line) for line in Path(path).read_text().split()]
     if len(vals) < 2:
         raise ScenarioError([f"table {path} needs at least two samples"])
     return np.asarray(vals)
@@ -178,12 +186,12 @@ def _parse_profile(value: str, base: Path, allow_poly: bool, where: str,
     head, _, rest = value.partition(":")
     try:
         if head == "constant":
-            return Profile.constant(float(rest))
+            return Profile.constant(_number(rest))
         if head == "affine":
-            a, b = (float(v) for v in rest.split(","))
+            a, b = (_number(v) for v in rest.split(","))
             return Profile.affine(a, b)
         if head == "poly" and allow_poly:
-            return Profile.poly(*(float(v) for v in rest.split(",")))
+            return Profile.poly(*(_number(v) for v in rest.split(",")))
         if head == "table":
             return Profile.tabulated(_read_samples(base / rest))
     except (ValueError, OSError, ScenarioError) as exc:
@@ -197,14 +205,14 @@ def _parse_init(value: str, base: Path, where: str, bad: list[str]):
     head, _, rest = value.partition(":")
     try:
         if head == "constant":
-            return ("constant", float(rest))
+            return ("constant", _number(rest))
         if head == "bump":
-            return ("bump", float(rest) if rest else 1.0)
+            return ("bump", _number(rest) if rest else 1.0)
         if head == "random":
-            return ("random", float(rest) if rest else 1.0)
+            return ("random", _number(rest) if rest else 1.0)
         if head == "table":
-            return ("table", base / rest)
-    except ValueError as exc:
+            return ("table", _read_samples(base / rest))
+    except (ValueError, OSError, ScenarioError) as exc:
         bad.append(f"{where}: {exc}")
         return None
     bad.append(f"{where}: unknown initial-data form {value!r}")
@@ -249,7 +257,7 @@ def load_scenario(path: str | Path) -> Scenario:
         try:
             return cast(raw)
         except ValueError:
-            bad.append(f"{key}: not {'an integer' if cast is int else 'a number'} ({raw!r})")
+            bad.append(f"{key}: not {'an integer' if cast is int else 'a finite number'} ({raw!r})")
             return default
 
     name = kv.pop("name", path.stem)
@@ -282,9 +290,9 @@ def load_scenario(path: str | Path) -> Scenario:
                 sigma_entries[(int(m_.group(1)), int(m_.group(2)))] = prof
         elif m_ := re.fullmatch(r"q\.(\d+)\.(\d+)", key):
             try:
-                q_entries[(int(m_.group(1)), int(m_.group(2)))] = float(value)
+                q_entries[(int(m_.group(1)), int(m_.group(2)))] = _number(value)
             except ValueError:
-                bad.append(f"{key}: not a number ({value!r})")
+                bad.append(f"{key}: not a finite number ({value!r})")
         elif m_ := re.fullmatch(r"init\.(\d+)", key):
             spec = _parse_init(value, base, where=key, bad=bad)
             if spec is not None:
@@ -320,7 +328,7 @@ def load_scenario(path: str | Path) -> Scenario:
     grid_cells = take("grid.cells", int, required=True)
     if grid_cells is not None and grid_cells < 8:
         bad.append(f"grid.cells: need at least 8 cells, got {grid_cells}")
-    t_final = take("t_final", float, required=True)
+    t_final = take("t_final", _number, required=True)
     if t_final is not None and t_final <= 0:
         bad.append(f"t_final: must be positive, got {t_final}")
 
@@ -330,13 +338,13 @@ def load_scenario(path: str | Path) -> Scenario:
         m_dx = re.fullmatch(r"([0-9.eE+-]+)\s*\*\s*dx", raw)
         try:
             if m_dx:
-                dt_spec = ("dx", float(m_dx.group(1)))
+                dt_spec = ("dx", _number(m_dx.group(1)))
             else:
-                dt_spec = ("abs", float(raw))
+                dt_spec = ("abs", _number(raw))
             if dt_spec[1] <= 0:
                 bad.append(f"dt: must be positive, got {raw!r}")
         except ValueError:
-            bad.append(f"dt: expected a number or 'K*dx', got {raw!r}")
+            bad.append(f"dt: expected a finite number or 'K*dx', got {raw!r}")
     elif scheme == "integer_shift":
         bad.append("dt: required when scheme = integer_shift")
 

@@ -28,7 +28,9 @@ Trajectories share no mutable state.
 the check marches the z/gamma pair that the transform intertwines in
 lockstep and takes the gap on each pair of chunks as they come, so no state
 of either run is held per step.  The CSV exports stream one snapshot
-component or :data:`NORM_BATCH` stamps per written block.
+component or :data:`NORM_BATCH` stamps per written block; a component row
+whose bits repeat the previous row reuses its text, and each norm batch
+formats each distinct value once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .kernels import (
     CFLError,
     build_z_source,
     format_floats,
-    keyed_lines,
     write_csv,
 )
 from .system_model import (
@@ -348,31 +349,48 @@ def commutation_check(
     ):
         gap = op._apply_data(z)
         np.subtract(gam, gap, out=gap)
-        dev = max(dev, float(np.abs(gap, out=gap).max()))
-    return dev, z_traj, g_traj
+        dev = np.maximum(dev, np.abs(gap, out=gap).max())  # a NaN gap stays NaN
+    return float(dev), z_traj, g_traj
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Emit ``t,component,x,value`` rows for every stored snapshot."""
+    """Emit ``t,component,x,value`` rows for every stored snapshot.
+
+    Each component keeps the bits and ``,x,value`` line tails of the last row
+    it formatted; a row with the same bits (signed zeros and NaN payloads
+    included) reuses them, so a run at rest formats its state once.
+    """
     nodes = format_floats(traj.grid.nodes)
+    last: dict[int, tuple[np.ndarray, list[str]]] = {}  # component -> bits, tails
 
     def blocks():
-        for t, snap in zip(traj.snapshot_times, traj.snapshots):
-            (t_text,) = format_floats(t)
+        for t_text, snap in zip(format_floats(traj.snapshot_times), traj.snapshots):
             for i, values in enumerate(snap.data, start=1):
-                yield keyed_lines(f"{t_text},{i}", nodes, values)
+                bits = values.view(np.uint64)
+                if i not in last or not np.array_equal(bits, last[i][0]):
+                    last.pop(i, None)  # the old tails go before the new ones are built
+                    last[i] = bits, [f",{x},{v}\n" for x, v in zip(nodes, format_floats(values))]
+                head = f"{t_text},{i}"
+                yield head + head.join(last[i][1])
 
     write_csv(path, ("t", "component", "x", "value"), blocks())
 
 
+def _texts(table: np.ndarray) -> list[str]:
+    """:func:`format_floats` of ``table``, each distinct bit pattern formatted once."""
+    keys, inverse = np.unique(table.ravel().view(np.uint64), return_inverse=True)
+    return np.array(format_floats(keys.view(float)), dtype=object)[inverse].tolist()
+
+
 def write_norms_csv(traj: Trajectory, path) -> None:
     """Emit ``t,block,sup_norm,l2_norm`` rows for every stamp, formatting
-    :data:`NORM_BATCH` stamps' ``t``, sup and L2 triples at a time."""
+    :data:`NORM_BATCH` stamps' ``t``, sup and L2 triples at a time, each
+    distinct value of a batch once."""
 
     def blocks():
         for k in range(0, traj.times.size, NORM_BATCH):
             table = [a[k : k + NORM_BATCH] for a in (traj.times, traj.sup, traj.l2)]
-            cells = format_floats(np.column_stack(table))
+            cells = _texts(np.column_stack(table))
             yield "".join(
                 f"{row[0]},{name},{row[1 + b]},{row[4 + b]}\n"
                 for row in zip(*[iter(cells)] * 7)

@@ -257,3 +257,18 @@ def test_oracle_gap(s3_system, s3_cascade):
     )
     empty = CascadeMatrix(3, 2, {})
     assert oracle_gap(build_kernel(s3_system, empty, grid), {}) == (0.0, 0.0)
+
+
+def test_oracle_gap_propagates_nan():
+    # m = 3: three tables, the NaN in the last, after finite gaps
+    system = HyperbolicSystem(
+        4, 3, tuple(Profile.constant(c) for c in (-3, -2, -1, 1)), np.array([[1.0, 0.5, 0.25]])
+    )
+    g = CascadeMatrix(4, 3, {key: Profile.constant(1) for key in ((2, 1), (3, 1), (3, 2))})
+    grid = Grid(16)
+    kern = build_kernel(system, g, grid)
+    oracle = kernel_oracle_solve(system, g, grid)
+    assert list(oracle) == [(2, 1), (3, 1), (3, 2)]
+    oracle[(3, 2)][4, 5] = np.nan
+    gap_max, gap_mean = oracle_gap(kern, oracle)
+    assert np.isnan(gap_max) and np.isnan(gap_mean)

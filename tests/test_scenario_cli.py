@@ -182,6 +182,38 @@ class TestLoadScenario:
         assert [line.split(" line ")[1][:3] for line in err[1:]] == ["19:", "20:", "21:"]
         assert all(line.startswith("[s3]   feedback: riesz file ") for line in err[1:])
 
+    # each line replaces ``old`` in the bundled scenario; ``bad`` is the
+    # number the error must quote, ``samples.txt`` holding 1e999 (inf)
+    @pytest.mark.parametrize("base, old, new, bad", [
+        ("s3", "t_final = 3.0", "t_final = inf", "inf"),
+        ("s3", "dt = 1*dx", "dt = nan", "nan"),
+        ("s3", "dt = 1*dx", "dt = 1e999*dx", "1e999*dx"),
+        ("s3", "q.1.1 = 1", "q.1.1 = nan", "nan"),
+        ("s3", "speed.3 = constant:1", "speed.3 = constant:inf", "inf"),
+        ("plant_demo", "speed.2 = affine:-1,-0.5", "speed.2 = affine:-1,nan", "nan"),
+        ("s3", "g.2.1 = constant:1", "g.2.1 = constant:inf", "inf"),
+        ("s3", "g.3.2 = constant:1", "g.3.2 = poly:1,-inf", "-inf"),
+        ("s3", "g.3.1 = constant:1", "g.3.1 = table:samples.txt", "1e999"),
+        ("plant_demo", "sigma.1.2 = constant:0.3", "sigma.1.2 = constant:nan", "nan"),
+        ("plant_demo", "sigma.2.1 = affine:0.2,0.1", "sigma.2.1 = table:samples.txt", "1e999"),
+        ("s3", "init.1 = bump", "init.1 = random:inf", "inf"),
+        ("s3", "init.1 = bump", "init.1 = constant:nan", "nan"),
+        ("s3", "init.2 = bump", "init.2 = bump:-inf", "-inf"),
+        ("s3", "init.3 = bump", "init.3 = table:samples.txt", "1e999"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, base, old, new, bad):
+        (tmp_path / "samples.txt").write_text("0.5\n1e999\n0.25\n")
+        text = (SCENARIOS / f"{base}.cfg").read_text()
+        assert old in text
+        path = write_cfg(tmp_path, text.replace(old, new))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        [violation] = err.value.violations
+        assert violation.startswith(new.split(" = ")[0] + ": ")
+        assert f"'{bad}'" in violation
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestCliSynthesize:
     def test_s3_outputs(self, tmp_path, capsys):

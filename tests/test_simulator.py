@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperstab import (
     CascadeMatrix,
@@ -39,6 +41,37 @@ from tests.conftest import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+# a NaN whose bits differ from ``math.nan``'s; both print ``nan``
+OTHER_NAN = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0])
+
+
+def trajectory_reference(traj):
+    return csv_reference(
+        ["t", "component", "x", "value"],
+        [[float(t), i + 1, float(x), float(v)]
+         for t, snap in zip(traj.snapshot_times, traj.snapshots)
+         for i, row in enumerate(snap.data)
+         for x, v in zip(traj.grid.nodes, row)],
+    )
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reporting the first line where they differ: pytest's
+    own diff of long, repetitive texts can take minutes."""
+    same = got == want
+    lines = enumerate(itertools.zip_longest(got.split("\n"), want.split("\n")))
+    assert same, next((k, a, b) for k, (a, b) in lines if a != b)
+
+
+def norms_reference(traj):
+    return csv_reference(
+        ["t", "block", "sup_norm", "l2_norm"],
+        [[float(t), name, float(traj.sup[k, b]), float(traj.l2[k, b])]
+         for k, t in enumerate(traj.times)
+         for b, name in enumerate(("minus", "plus", "total"))],
+    )
 
 
 def single_left_system():
@@ -637,6 +670,15 @@ class TestCommutation:
                 assert np.array_equal(fused.l2, full.l2)
                 assert np.array_equal(fused.snapshots[-1].data, full.snapshots[-1].data)
 
+    def test_nan_state_gives_nan_deviation(self, s3_system, s3_cascade):
+        grid = Grid(32)
+        op = IntegralOperator.from_kernel(build_kernel(s3_system, s3_cascade, grid))
+        z0 = smooth_state(grid, 3, 2, 5)
+        z0.data[0, 7] = np.nan
+        dev, _, g_run = commutation_check(op, z0, 1.0, "integer_shift", grid.dx)
+        assert np.isnan(g_run.sup_total).any()
+        assert np.isnan(dev)
+
     def test_memory_flat_in_horizon(self, s3_system, s3_cascade):
         # the gap is taken as the pair marches, so a 4x longer horizon adds
         # only its norm series, not a state per step
@@ -725,6 +767,74 @@ class TestTrajectoryOutput:
                  for row in table
                  for b, name in enumerate(("minus", "plus", "total"))],
             )
+        # repeated rows the writers must tell apart by bits: equal under == but
+        # printed differently (0.0 and -0.0), unequal under == but printed alike (NaNs)
+        finite = [-0.0, 5e-324, 0.1, 1 / 3, -2.5e17, 1.0, np.inf, 0.0, -np.inf]
+        signed = finite[:7] + [-0.0, -np.inf]
+        nans = list(itertools.islice(itertools.cycle(SPECIAL_FLOATS), 9))
+        other = [OTHER_NAN if np.isnan(v) else v for v in nans]
+        rows = [(finite, nans), (finite, nans), (signed, nans), (signed, nans),
+                (finite, nans), (finite, other), (finite, other), (finite, nans)]
+        snaps = [StateVector(grid, 1, np.array(pair)) for pair in rows]
+        assert np.isnan(snaps[5].data[1]).any() and not np.isnan(snaps[2].data[0]).any()
+        times = np.array([0.0, 0.1, 0.2, 0.2, -0.0, np.nan, OTHER_NAN, 1.0])
+        traj = Trajectory(grid, 0.1, times, None, None, times, snaps)
+        write_trajectory_csv(traj, tpath)
+        assert_same_text(tpath.read_text(), trajectory_reference(traj))
+        assert tpath.read_text().count("\n0.20000000000000001,1,0.875,-0\n") == 2
+        # runs of 7 equal stamps, so that repeats straddle the 256-stamp batch edges
+        pool = np.array([[0.5, 0.0, -0.0, 1.0, np.nan, 0.0, 2.0],
+                         [0.5, -0.0, 0.0, 1.0, OTHER_NAN, -0.0, 2.0],
+                         [0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        for stamps in (255, 256, 257, 513, 515):
+            table = pool[np.arange(stamps) // 7 % 3]
+            traj = Trajectory(grid, 0.1, table[:, 0], table[:, 1:4], table[:, 4:],
+                              times[:1], snaps[:1])
+            write_norms_csv(traj, npath)
+            assert_same_text(npath.read_text(), norms_reference(traj))
+
+    def test_csv_text_of_run_at_rest(self, tmp_path, s3_system, s3_cascade):
+        grid = Grid(64)
+        op = IntegralOperator.from_kernel(build_kernel(s3_system, s3_cascade, grid))
+        spec = ClosedLoopSpec.gamma_target(s3_system, gamma_source(s3_cascade),
+                                           FeedbackLaw.fredholm(op))
+        traj = simulate(spec, random_state(grid, 3, 2, 4), 6.0, grid,
+                        scheme="integer_shift", dt=grid.dx, snapshot_stride=16)
+        rest = [s for s in traj.snapshots if not s.data.any()]
+        assert len(rest) > 1 and traj.times.size > 256
+        tpath, npath = tmp_path / "trajectory.csv", tmp_path / "norms.csv"
+        write_trajectory_csv(traj, tpath)
+        write_norms_csv(traj, npath)
+        assert_same_text(tpath.read_text(), trajectory_reference(traj))
+        assert_same_text(npath.read_text(), norms_reference(traj))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_csv_text_matches_reference_on_repeats(self, tmp_path_factory, data):
+        # a small pool of values and of rows, so that values and rows repeat
+        values = st.sampled_from((*SPECIAL_FLOATS, 0.0, -1.0, OTHER_NAN))
+        grid = Grid(8)
+        rows = data.draw(st.lists(st.lists(values, min_size=9, max_size=9), min_size=1,
+                                  max_size=3))
+        rows += [[-v if v == 0 else v for v in row] for row in rows]  # zeros' signs flipped
+        pick = st.integers(0, len(rows) - 1)
+        picks = data.draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=8))
+        snaps = [StateVector(grid, 1, np.array([rows[a], rows[b]])) for a, b in picks]
+        snap_times = np.array(data.draw(st.lists(values, min_size=len(snaps),
+                                                 max_size=len(snaps))))
+        stamps = data.draw(st.lists(st.lists(values, min_size=7, max_size=7), min_size=1,
+                                    max_size=3))
+        runs = data.draw(st.lists(st.tuples(st.integers(0, len(stamps) - 1),
+                                            st.integers(1, 40)), min_size=1, max_size=4))
+        table = np.array([stamps[k] for k, count in runs for _ in range(count)])
+        traj = Trajectory(grid, 0.1, table[:, 0], table[:, 1:4], table[:, 4:], snap_times,
+                          snaps)
+        out = tmp_path_factory.mktemp("csv")
+        write_trajectory_csv(traj, out / "trajectory.csv")
+        write_norms_csv(traj, out / "norms.csv")
+        assert_same_text((out / "trajectory.csv").read_text(),
+                                trajectory_reference(traj))
+        assert_same_text((out / "norms.csv").read_text(), norms_reference(traj))
 
     def test_recorded_norms_match_state_methods(self, s3_system, s3_cascade):
         grid = Grid(16)
