@@ -161,7 +161,9 @@ def main() -> int:
                     summary[m["name"]]["pairs"] = pair_counts(
                         runs["parent"][0], runs["change"][0], m["name"], m["better"])
     for name, checkout in checkouts.items():
-        env = record["workloads"][w][name]["env"] or {}
+        # the first workload with a run that finished: any other may have none
+        env = next((by_checkout[name]["env"] for by_checkout in record["workloads"].values()
+                    if by_checkout[name]["env"]), {})
         status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
                                 cwd=checkout, capture_output=True, text=True)
         record["env" if name == "change" else "parent_env"] = {

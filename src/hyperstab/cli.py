@@ -76,12 +76,12 @@ class Check:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _feedback_law(scn: Scenario, grid: Grid, op: IntegralOperator | None) -> FeedbackLaw:
+def _feedback_law(scn: Scenario, grid: Grid) -> FeedbackLaw:
     if scn.feedback_kind == "zero":
         return FeedbackLaw.zero()
     if scn.feedback_kind == "riesz":
         return FeedbackLaw.riesz(scn.load_riesz_tables(grid), grid)
-    return FeedbackLaw.fredholm(op)
+    return FeedbackLaw.fredholm_from_cascade(scn.system(), scn.cascade(), grid)
 
 
 def _nonzero_initial(scn: Scenario, grid: Grid) -> StateVector:
@@ -94,12 +94,12 @@ def _nonzero_initial(scn: Scenario, grid: Grid) -> StateVector:
     return state
 
 
-def _closed_loop(scn: Scenario, grid: Grid, op: IntegralOperator | None) -> ClosedLoopSpec:
+def _closed_loop(scn: Scenario, grid: Grid) -> ClosedLoopSpec:
     system = scn.system()
     if scn.dynamics == "plant":
-        return ClosedLoopSpec.plant(system, _feedback_law(scn, grid, op))
+        return ClosedLoopSpec.plant(system, _feedback_law(scn, grid))
     if scn.dynamics == "gamma_target":
-        return ClosedLoopSpec.gamma_target(system, scn.cascade(), _feedback_law(scn, grid, op))
+        return ClosedLoopSpec.gamma_target(system, scn.cascade(), _feedback_law(scn, grid))
     return ClosedLoopSpec.z_target(system, build_z_source(scn.cascade()))
 
 
@@ -128,10 +128,7 @@ def _cmd_synthesize(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
 
 def _cmd_simulate(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     grid = scn.grid()
-    op = None
-    if scn.feedback_kind == "fredholm":
-        op = IntegralOperator.from_kernel(build_kernel(scn.system(), scn.cascade(), grid))
-    spec = _closed_loop(scn, grid, op)
+    spec = _closed_loop(scn, grid)
     traj = simulate(
         spec,
         scn.initial_state(grid),
@@ -240,7 +237,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     g_traj = pair_traj
     if scn.feedback_kind != "fredholm":
         g_traj = simulate(
-            ClosedLoopSpec.gamma_target(system, g, _feedback_law(scn, grid, op)),
+            ClosedLoopSpec.gamma_target(system, g, _feedback_law(scn, grid)),
             pair_traj.snapshots[0], t_run, grid, scheme=scn.scheme, dt=dt, snapshot_stride=10**9,
         )
     vt = vanish_time(g_traj, TOLERANCES["vanish_rel"])
@@ -304,7 +301,7 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
         u0 = _nonzero_initial(scn, grid)
         dev = commutation_check(op, u0, scn.t_final, scn.scheme, dt)[0]
 
-        spec = _closed_loop(scn, grid, op)
+        spec = _closed_loop(scn, grid)
         traj = simulate(
             spec, u0, scn.t_final, grid,
             scheme=scn.scheme, dt=dt, snapshot_stride=10**9,

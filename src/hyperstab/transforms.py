@@ -15,10 +15,11 @@ loaded node tables by the trapezoid weights; ``fredholm``, the law that
 realizes the optimal vanishing time, is minus the kernel trace at x = 1
 integrated against the inverse-transformed state.  Because the inverse is
 linear, that law is compiled once: its x = 1 rows are back-substituted
-through the transposed block-triangular transform, O(pairs m N^2) once,
-after which each step costs one O(m n N) contraction.  The uncompiled route
-(forward substitution, then the trace integral) lives in the tests as the
-reference the compiled table is checked against.
+through the transposed block-triangular transform, after which each step
+costs one O(m n N) contraction.  :meth:`FeedbackLaw.fredholm_from_cascade`
+evaluates only the kernel rows that back-substitution reads.  The uncompiled
+route (forward substitution, then the trace integral) lives in the tests as
+the reference the compiled table is checked against.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import FredholmKernel, write_kernel_tables_csv
-from .system_model import Grid, StateVector
+from .kernels import CascadeMatrix, FredholmKernel, eval_kernel, write_kernel_tables_csv
+from .system_model import Grid, HyperbolicSystem, StateVector
 
 __all__ = [
     "IntegralOperator",
@@ -198,18 +199,27 @@ class FeedbackLaw:
         gamma, L the unit lower block-triangular transform.  So R solves
         R L = B, i.e. R = B + R W with W the weighted kernel blocks; column
         block j needs only the blocks i > j, so it is back-substituted from
-        j = m down to 1.
+        j = m down to 1.  Column block i is non-zero only if a block (k, i),
+        k > i, is populated, so under the strictly-lower cascade the last
+        (i = m) is always empty.  Block (i, j) is read in full only when
+        column block i is populated, and otherwise at its x = 1 row alone.
         """
-        m = operator.m
-        weights = np.zeros((m, operator.kernel.system.n, operator.grid.n_nodes))
-        for (i, j), kw in operator.weighted.items():
-            weights[i - 1, j - 1] = -kw[-1]
-        for j in range(m - 1, 0, -1):
-            for i in range(j + 1, m + 1):
-                kw = operator.weighted.get((i, j))
-                if kw is not None:
-                    weights[:, j - 1] += weights[:, i - 1] @ kw
-        return cls("fredholm", weights)
+        return cls("fredholm", _fredholm_weights(operator.kernel.system, operator.grid,
+                                                 operator.weighted))
+
+    @classmethod
+    def fredholm_from_cascade(
+        cls, system: HyperbolicSystem, g: CascadeMatrix, grid: Grid
+    ) -> "FeedbackLaw":
+        """:meth:`fredholm` of the transform of ``build_kernel(system, g, grid)``,
+        bit for bit, from only the kernel rows it reads: the closed form times
+        the trapezoid weights, elementwise as in ``IntegralOperator.from_kernel``."""
+        x, w = grid.nodes, grid.trapezoid_weights()
+        keys = [key for key in g.lower_pairs() if g.entry(*key) is not None]
+        populated = {j for _, j in keys}
+        rows = {i: (x if i in populated else x[-1:])[:, None] for i, _ in keys}
+        weighted = {(i, j): eval_kernel(system, g, i, j, rows[i], x, grid) * w for i, j in keys}
+        return cls("fredholm", _fredholm_weights(system, grid, weighted))
 
     def evaluate(self, state: StateVector) -> np.ndarray:
         if self.weights is None:
@@ -220,3 +230,23 @@ class FeedbackLaw:
                 f"table's {self.weights.shape[2] - 1} cells"
             )
         return np.einsum("ijk,jk->i", self.weights, state.data)
+
+
+def _fredholm_weights(
+    system: HyperbolicSystem, grid: Grid, weighted: dict[tuple[int, int], np.ndarray]
+) -> np.ndarray:
+    """R of :meth:`FeedbackLaw.fredholm` from weighted kernel blocks, of which
+    only the last (x = 1) row is read where column block i of R is empty."""
+    m = system.m
+    weights = np.zeros((m, system.n, grid.n_nodes))
+    for (i, j), kw in weighted.items():
+        weights[i - 1, j - 1] = -kw[-1]
+    populated = {j for _, j in weighted}
+    for j in range(m - 1, 0, -1):
+        for i in range(j + 1, m + 1):
+            kw = weighted.get((i, j))
+            if kw is not None:
+                # an empty column block i adds the +0.0 its product would,
+                # which turns the -0.0 entries of column block j into +0.0
+                weights[:, j - 1] += weights[:, i - 1] @ kw if i in populated else 0.0
+    return weights

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -148,6 +149,14 @@ def reference_march(spec: ClosedLoopSpec, u0: StateVector, steps: int, grid: Gri
             snaps.append(StateVector(grid, m, cur.copy()))
     sup, l2 = (np.array([s[b] for s in stamps]) for b in (0, 1))
     return Trajectory(grid, dt, times, sup, l2, np.asarray(snap_times), snaps)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reporting the first line where they differ: pytest's
+    own diff of long, repetitive texts can take minutes."""
+    same = got == want
+    lines = enumerate(itertools.zip_longest(got.split("\n"), want.split("\n")))
+    assert same, next((k, a, b) for k, (a, b) in lines if a != b)
 
 
 # Values whose text the exported tables must pin: signed zero, the smallest

@@ -18,7 +18,7 @@ from hyperstab import (
     kernel_residual,
 )
 from hyperstab.kernels import oracle_gap, write_kernel_tables_csv
-from tests.conftest import SPECIAL_FLOATS, csv_reference
+from tests.conftest import SPECIAL_FLOATS, assert_same_text, csv_reference
 
 
 def sq_profile():
@@ -243,7 +243,7 @@ def test_csv_text_format(tmp_path):
         for p, x in enumerate(grid.nodes)
         for q, y in enumerate(grid.nodes)
     ]
-    assert path.read_text() == csv_reference(["i", "j", "x", "y", "value"], rows)
+    assert_same_text(path.read_text(), csv_reference(["i", "j", "x", "y", "value"], rows))
 
 
 def test_oracle_gap(s3_system, s3_cascade):

@@ -4,8 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperstab import Grid, ScenarioError, load_scenario, simulator
+from hyperstab import (
+    FeedbackLaw,
+    Grid,
+    IntegralOperator,
+    ScenarioError,
+    build_kernel,
+    cli,
+    load_scenario,
+    simulator,
+)
 from hyperstab.cli import main
+from tests.conftest import assert_same_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -282,6 +292,27 @@ class TestCliSimulate:
         # the optimal loop is numerically dead well before t_final = 3
         last = norms[-1].split(",")
         assert float(last[2]) <= 1e-10
+
+    def test_fredholm_law_built_without_kernel(self, tmp_path, monkeypatch):
+        # the law compiled from the kernel rows it reads gives the outputs of
+        # the law compiled from the whole tabulated kernel and its operator
+        def operator_route(cls, system, g, grid):
+            return cls.fredholm(IntegralOperator.from_kernel(build_kernel(system, g, grid)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate tabulated the kernel")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(FeedbackLaw, "fredholm_from_cascade", classmethod(operator_route))
+            assert main(["simulate", str(SCENARIOS / "s3.cfg"), "--out", str(tmp_path / "op"),
+                         "--quiet"]) == 0
+        monkeypatch.setattr(cli, "build_kernel", refuse)
+        monkeypatch.setattr(IntegralOperator, "from_kernel", refuse)
+        assert main(["simulate", str(SCENARIOS / "s3.cfg"), "--out", str(tmp_path / "rows"),
+                     "--quiet"]) == 0
+        for name in ("trajectory.csv", "norms.csv"):
+            assert_same_text((tmp_path / "rows" / "s3" / name).read_text(),
+                             (tmp_path / "op" / "s3" / name).read_text())
 
 
 class TestCliVerify:

@@ -32,6 +32,7 @@ from hyperstab import (
 from hyperstab.simulator import CHUNK, Trajectory, write_norms_csv, write_trajectory_csv
 from tests.conftest import (
     SPECIAL_FLOATS,
+    assert_same_text,
     csv_reference,
     feedback_H,
     random_state,
@@ -55,14 +56,6 @@ def trajectory_reference(traj):
          for i, row in enumerate(snap.data)
          for x, v in zip(traj.grid.nodes, row)],
     )
-
-
-def assert_same_text(got: str, want: str) -> None:
-    """``got == want``, reporting the first line where they differ: pytest's
-    own diff of long, repetitive texts can take minutes."""
-    same = got == want
-    lines = enumerate(itertools.zip_longest(got.split("\n"), want.split("\n")))
-    assert same, next((k, a, b) for k, (a, b) in lines if a != b)
 
 
 def norms_reference(traj):
@@ -742,31 +735,31 @@ class TestTrajectoryOutput:
         npath = tmp_path / "norms.csv"
         write_trajectory_csv(traj, tpath)
         write_norms_csv(traj, npath)
-        assert tpath.read_text() == csv_reference(
+        assert_same_text(tpath.read_text(), csv_reference(
             ["t", "component", "x", "value"],
             [[float(t), i + 1, float(x), float(snap.data[i, k])]
              for t, snap in zip(traj.snapshot_times, snaps)
              for i in range(2)
              for k, x in enumerate(grid.nodes)],
-        )
-        assert npath.read_text() == csv_reference(
+        ))
+        assert_same_text(npath.read_text(), csv_reference(
             ["t", "block", "sup_norm", "l2_norm"],
             [[float(t), name, float(traj.sup[k, b]), float(traj.l2[k, b])]
              for k, t in enumerate(times)
              for b, name in enumerate(("minus", "plus", "total"))],
-        )
+        ))
         # norm series across the edges of the batches the export formats
         for stamps in (1, 255, 256, 257, 515):
             table = np.array([next(cycle) for _ in range(7 * stamps)]).reshape(stamps, 7)
             traj = Trajectory(grid, 0.1, table[:, 0], table[:, 1:4], table[:, 4:],
                               times[:1], snaps[:1])
             write_norms_csv(traj, npath)
-            assert npath.read_text() == csv_reference(
+            assert_same_text(npath.read_text(), csv_reference(
                 ["t", "block", "sup_norm", "l2_norm"],
                 [[float(row[0]), name, float(row[1 + b]), float(row[4 + b])]
                  for row in table
                  for b, name in enumerate(("minus", "plus", "total"))],
-            )
+            ))
         # repeated rows the writers must tell apart by bits: equal under == but
         # printed differently (0.0 and -0.0), unequal under == but printed alike (NaNs)
         finite = [-0.0, 5e-324, 0.1, 1 / 3, -2.5e17, 1.0, np.inf, 0.0, -np.inf]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -306,6 +308,67 @@ def test_compiled_fredholm_matches_reference(case, seed):
     assert np.max(np.abs(out - feedback_H(op, state))) <= 1e-13 * state.sup_norm()
     assert out[0] == 0.0
     assert np.all(law.evaluate(zero_state(grid, system.n, system.m)) == 0.0)
+
+
+def reference_fredholm_weights(op):
+    """The back-substitution that takes every block product, those of an
+    all-zero column block included: the bits the compiled law must keep."""
+    m = op.m
+    weights = np.zeros((m, op.kernel.system.n, op.grid.n_nodes))
+    for (i, j), kw in op.weighted.items():
+        weights[i - 1, j - 1] = -kw[-1]
+    for j in range(m - 1, 0, -1):
+        for i in range(j + 1, m + 1):
+            kw = op.weighted.get((i, j))
+            if kw is not None:
+                weights[:, j - 1] += weights[:, i - 1] @ kw
+    return weights
+
+
+# a zero coefficient makes its x = 1 row +0.0, so its column block starts as
+# -0.0 and only the product of the empty column block 2 turns it into +0.0
+ZERO_ROW_CASE = (
+    HyperbolicSystem(3, 2, (Profile.constant(-2), Profile.constant(-1), Profile.constant(1)),
+                     np.ones((1, 2))),
+    CascadeMatrix(3, 2, {(2, 1): Profile.constant(0.0), (3, 1): Profile.constant(1.0)}),
+    Grid(16),
+)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(case=cascade_systems())
+@example(case=FOUR_LEVEL_CASE)
+@example(case=ZERO_ROW_CASE)
+@settings(max_examples=40, deadline=None)
+def test_fredholm_from_cascade_matches_operator_route(case):
+    system, g, grid = case
+    op = IntegralOperator.from_kernel(build_kernel(system, g, grid))
+    want = FeedbackLaw.fredholm(op).weights
+    assert_same_bits(want, reference_fredholm_weights(op))
+    assert_same_bits(FeedbackLaw.fredholm_from_cascade(system, g, grid).weights, want)
+
+
+def test_fredholm_from_cascade_s3_fine_grid(s3_system, s3_cascade):
+    grid = Grid(1000)
+    op = IntegralOperator.from_kernel(build_kernel(s3_system, s3_cascade, grid))
+    assert_same_bits(FeedbackLaw.fredholm_from_cascade(s3_system, s3_cascade, grid).weights,
+                     FeedbackLaw.fredholm(op).weights)
+
+
+def test_fredholm_from_cascade_reads_one_s3_row(s3_system, s3_cascade):
+    # the operator route tabulates the 1001 x 1001 kernel block: 34.1 MB at its peak
+    grid = Grid(1000)
+    tracemalloc.start()
+    try:
+        FeedbackLaw.fredholm_from_cascade(s3_system, s3_cascade, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def impulse_inverse_tables(op):
