@@ -20,8 +20,12 @@ and counted as a failed run.  With a parent, each end-to-end metric of the
 change also holds ``pairs``: how many seeds the change won, lost and
 tied against the parent's run of the same seed, in the direction ``better``
 of ``BENCHMARK.json``.  ``env`` and ``parent_env`` at the top give each
-checkout's ``src/`` line count and commit.  The script exits 1 if any run
-failed.
+checkout's ``src/`` line count, its commit and a sha256 of ``git diff HEAD``
+in it, so that each number can be tied to the tree it measured: the commit
+plus the diff whose hash is given (the hash of an empty diff,
+e3b0c442…b855, for a clean tree).  The parent checkout must be a git
+checkout for that, for instance a ``git clone``.  The script exits 1 if any
+run failed.
 
 Usage:
     python scripts/record_bench.py --pr 7 --parent ../parent --seeds 0,1,2,3,4
@@ -31,8 +35,10 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import re
 import signal
 import statistics
 import subprocess
@@ -104,6 +110,30 @@ def pair_counts(parent: list[dict], change: list[dict], name: str, better: str) 
     return counts
 
 
+def tree_id(checkout: Path, reported: str | None) -> dict:
+    """Commit, sha256 of ``git diff HEAD`` and whether tracked files are
+    modified, for one checkout.  ``run.py`` reads the commit from the files
+    under ``.git``; where that gives no commit hash (``unknown``, or a
+    symbolic ref whose target is packed), ``git rev-parse HEAD`` is asked.
+    Fields git cannot give are None."""
+
+    def git(*args: str) -> bytes | None:
+        run = subprocess.run(["git", *args], cwd=checkout, capture_output=True)
+        return run.stdout if run.returncode == 0 else None
+
+    commit = reported
+    if commit is None or not re.fullmatch("[0-9a-f]{40}", commit):
+        head = git("rev-parse", "HEAD")
+        commit = head.decode().strip() if head is not None else commit
+    diff = git("diff", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_commit": commit,
+        "git_diff_sha256": hashlib.sha256(diff).hexdigest() if diff is not None else None,
+        "tracked_files_modified": bool(status) if status is not None else None,
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, help="write BENCH_<pr>.json at the root of the checkout")
@@ -164,12 +194,9 @@ def main() -> int:
         # the first workload with a run that finished: any other may have none
         env = next((by_checkout[name]["env"] for by_checkout in record["workloads"].values()
                     if by_checkout[name]["env"]), {})
-        status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                                cwd=checkout, capture_output=True, text=True)
         record["env" if name == "change" else "parent_env"] = {
             "src_lines": env.get("src_lines"),
-            "git_commit": env.get("git_commit"),
-            "tracked_files_modified": bool(status.stdout) if status.returncode == 0 else None,
+            **tree_id(checkout, env.get("git_commit")),
         }
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, indent=1) + "\n")

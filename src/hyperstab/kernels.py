@@ -20,6 +20,12 @@ An independent check marches the defining transport system
 in y by first-order upwinding in x; closed form and march must agree to
 first order on refinement.
 
+The kernel is tabulated and its residual taken in bands of ``_BAND_ROWS``
+x rows, and :func:`oracle_gap` takes the gaps in the oracle tables it is
+given.  So beyond one table per populated entry, no layer here holds more
+than one band of temporaries.  The support of a band is recomputed from the
+travel-time maps where it is read; no support table is stored.
+
 Component indices (i, j) are 1-based everywhere in this module.  It also
 owns the one text format of every exported table: :func:`format_floats`
 for the floats and :func:`write_csv` to stream the lines.
@@ -35,6 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from .system_model import Grid, HyperbolicSystem, PhiMap, Profile, phi_map
+
+# x-rows per band in the layers that tabulate, check or invert the kernel
+_BAND_ROWS = 32
 
 __all__ = [
     "CascadeMatrix",
@@ -129,7 +138,7 @@ def eval_kernel(
         )
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    vals, _ = _closed_form(
+    vals = _closed_form(
         system, g, i, j, np.atleast_1d(x_arr), np.atleast_1d(y_arr),
         phi_map(system, i, grid), phi_map(system, j, grid),
     )
@@ -146,9 +155,10 @@ def _closed_form(
     y: np.ndarray,
     pm_i: PhiMap,
     pm_j: PhiMap,
-) -> tuple[np.ndarray, np.ndarray]:
-    """k_ij and its support indicator on broadcastable (x, y) arrays, from
-    the travel-time maps of components i and j."""
+) -> np.ndarray:
+    """k_ij on broadcastable (x, y) arrays, from the travel-time maps of
+    components i and j.  Elementwise, so any band of x rows gives the bits
+    of the same rows of the whole table."""
     s = pm_i(x) - pm_j(y)
     support = s <= 0.0
     gij = g.entry(i, j)
@@ -157,24 +167,23 @@ def _closed_form(
     else:
         arg = pm_i.inverse(np.where(support, s, 0.0))
         vals = np.where(support, gij(arg) / (-system.speeds[j - 1](y)), 0.0)
-    return np.where((x == 0.0) & (y == 0.0), 0.0, vals), support
+    return np.where((x == 0.0) & (y == 0.0), 0.0, vals)
 
 
 @dataclass(frozen=True)
 class FredholmKernel:
-    """Node tables of every populated cascade kernel entry, with supports.
+    """Node tables of every populated cascade kernel entry.
 
-    ``tables[(i, j)][p, q]`` holds k_ij(x_p, y_q); ``masks`` holds the
-    closed-support indicator at the same nodes; :func:`eval_kernel` gives
-    the closed form off the nodes.  Row 1 of the assembled m-by-m kernel is
-    empty by construction.
+    ``tables[(i, j)][p, q]`` holds k_ij(x_p, y_q); :func:`eval_kernel` gives
+    the closed form off the nodes.  The closed support phi_i(x) <= phi_j(y)
+    is not stored: it follows from the travel-time maps of i and j.  Row 1
+    of the assembled m-by-m kernel is empty by construction.
     """
 
     system: HyperbolicSystem
     source: CascadeMatrix
     grid: Grid
     tables: dict[tuple[int, int], np.ndarray]
-    masks: dict[tuple[int, int], np.ndarray]
 
     @property
     def m(self) -> int:
@@ -182,18 +191,22 @@ class FredholmKernel:
 
 
 def build_kernel(system: HyperbolicSystem, g: CascadeMatrix, grid: Grid) -> FredholmKernel:
-    """Tabulate every populated entry of the closed-form kernel on the grid."""
+    """Tabulate every populated entry of the closed-form kernel on the grid,
+    ``_BAND_ROWS`` x rows at a time."""
     x = grid.nodes
     maps = {i: phi_map(system, i, grid) for i in range(1, system.m + 1)}
     tables: dict[tuple[int, int], np.ndarray] = {}
-    masks: dict[tuple[int, int], np.ndarray] = {}
     for (i, j) in g.lower_pairs():
         if g.entry(i, j) is None:
             continue
-        tables[(i, j)], masks[(i, j)] = _closed_form(
-            system, g, i, j, x[:, None], x[None, :], maps[i], maps[j]
-        )
-    return FredholmKernel(system, g, grid, tables, masks)
+        table = np.empty((grid.n_nodes, grid.n_nodes))
+        for lo in range(0, grid.n_nodes, _BAND_ROWS):
+            rows = slice(lo, lo + _BAND_ROWS)
+            table[rows] = _closed_form(
+                system, g, i, j, x[rows, None], x[None, :], maps[i], maps[j]
+            )
+        tables[(i, j)] = table
+    return FredholmKernel(system, g, grid, tables)
 
 
 def kernel_oracle_solve(
@@ -255,10 +268,13 @@ def oracle_gap(
     kernel: FredholmKernel, oracle: dict[tuple[int, int], np.ndarray]
 ) -> tuple[float, float]:
     """Largest |oracle - closed form| over every entry, and the largest of the
-    per-entry mean gaps; (0.0, 0.0) for an empty cascade."""
+    per-entry mean gaps; (0.0, 0.0) for an empty cascade.
+
+    Each oracle table is overwritten with its gap |oracle - closed form|, so
+    no further table is allocated; pass copies to keep the oracle."""
     gap_max = gap_mean = 0.0
     for key, tab in oracle.items():
-        diff = np.abs(tab - kernel.tables[key])
+        diff = np.abs(np.subtract(tab, kernel.tables[key], out=tab), out=tab)
         gap_max = np.maximum(gap_max, diff.max())  # NaN-propagating, unlike max()
         gap_mean = np.maximum(gap_mean, diff.mean())
     return float(gap_max), float(gap_mean)
@@ -286,6 +302,9 @@ def kernel_residual(
     across it).  The x = 0 mismatch is measured against 0 for all y; the
     y = 0 mismatch is measured against the imposed data for x > 0, the
     corner being owned by the x = 0 condition.
+
+    The interior is taken ``_BAND_ROWS`` rows at a time, each band reading
+    the table rows p - 1 .. p + 1 and the support of just those rows.
     """
     x = grid.nodes
     dx = grid.dx
@@ -294,35 +313,29 @@ def kernel_residual(
         lam_i = system.speeds[i - 1](x)
         lam_j = system.speeds[j - 1](x)
         dlam_j = system.speeds[j - 1].derivative(x)
+        phi_i, phi_j = phi_map(system, i, grid)(x), phi_map(system, j, grid)(x)
 
-        res = (
-            lam_i[1:-1, None] * (table[2:, 1:-1] - table[:-2, 1:-1]) / (2 * dx)
-            + lam_j[None, 1:-1] * (table[1:-1, 2:] - table[1:-1, :-2]) / (2 * dx)
-            + dlam_j[None, 1:-1] * table[1:-1, 1:-1]
-        )
-        mask = kernel.masks[(i, j)]
-        inside = (
-            mask[1:-1, 1:-1]
-            & mask[2:, 1:-1]
-            & mask[:-2, 1:-1]
-            & mask[1:-1, 2:]
-            & mask[1:-1, :-2]
-        )
-        outside = ~(
-            mask[1:-1, 1:-1]
-            | mask[2:, 1:-1]
-            | mask[:-2, 1:-1]
-            | mask[1:-1, 2:]
-            | mask[1:-1, :-2]
-        )
-        clean = inside | outside
-        interior = float(np.max(np.abs(res[clean]))) if np.any(clean) else 0.0
+        interior = 0.0
+        for lo in range(1, grid.n_nodes - 1, _BAND_ROWS):
+            hi = min(lo + _BAND_ROWS, grid.n_nodes - 1)
+            band = table[lo - 1:hi + 1]  # rows lo - 1 .. hi
+            res = (
+                lam_i[lo:hi, None] * (band[2:, 1:-1] - band[:-2, 1:-1]) / (2 * dx)
+                + lam_j[None, 1:-1] * (band[1:-1, 2:] - band[1:-1, :-2]) / (2 * dx)
+                + dlam_j[None, 1:-1] * band[1:-1, 1:-1]
+            )
+            mask = phi_i[lo - 1:hi + 1, None] - phi_j[None, :] <= 0.0
+            near = (mask[1:-1, 1:-1], mask[2:, 1:-1], mask[:-2, 1:-1], mask[1:-1, 2:],
+                    mask[1:-1, :-2])
+            clean = np.logical_and.reduce(near) | ~np.logical_or.reduce(near)
+            # NaN-propagating, unlike max()
+            interior = np.maximum(interior, np.max(np.abs(res), where=clean, initial=0.0))
 
         bx0 = float(np.max(np.abs(table[0, :])))
         gij = g.entry(i, j)
         data = gij(x) / (-lam_j[0]) if gij is not None else np.zeros_like(x)
         by0 = float(np.max(np.abs(table[1:, 0] - data[1:])))
-        out[(i, j)] = KernelResidual(interior, bx0, by0)
+        out[(i, j)] = KernelResidual(float(interior), bx0, by0)
     return out
 
 

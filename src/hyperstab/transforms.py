@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import CascadeMatrix, FredholmKernel, eval_kernel, write_kernel_tables_csv
+from .kernels import _BAND_ROWS, CascadeMatrix, FredholmKernel, eval_kernel, write_kernel_tables_csv
 from .system_model import Grid, HyperbolicSystem, StateVector
 
 __all__ = [
@@ -115,19 +115,24 @@ class InverseKernel:
     def identity_error(self, op: IntegralOperator) -> float:
         """sup |E| for E = (I - Theta_w)(I - K_w) - I, K the kernel of ``op``,
         block by block: E_ij = sum_k Theta_ik K_kj - Theta_ij - K_ij over every
-        (i, k, j), so no cascade shape is assumed and no (mN)^2 matrix is built."""
+        (i, k, j), so no cascade shape is assumed and no (mN)^2 matrix is built.
+        E is taken ``_BAND_ROWS`` rows at a time, weighting only that band of
+        each theta table, so no N x N temporary is made; NaN propagates."""
         w = self.grid.trapezoid_weights()
-        theta = {key: tab * w[None, :] for key, tab in self.tables.items()}
         kw, blocks = op.weighted, range(1, self.m + 1)
         worst = 0.0
         for i in blocks:
-            for j in blocks:
-                err = -theta.get((i, j), 0.0) - kw.get((i, j), 0.0)
-                for k in blocks:
-                    if (i, k) in theta and (k, j) in kw:
-                        err = err + theta[(i, k)] @ kw[(k, j)]
-                worst = max(worst, float(np.max(np.abs(err))))
-        return worst
+            for lo in range(0, self.grid.n_nodes, _BAND_ROWS):
+                rows = slice(lo, lo + _BAND_ROWS)
+                theta = {k: tab[rows] * w[None, :]
+                         for (r, k), tab in self.tables.items() if r == i}
+                for j in blocks:
+                    err = -theta.get(j, 0.0) - (kw[(i, j)][rows] if (i, j) in kw else 0.0)
+                    for k in blocks:
+                        if k in theta and (k, j) in kw:
+                            err = err + theta[k] @ kw[(k, j)]
+                    worst = np.maximum(worst, np.max(np.abs(err)))
+        return float(worst)
 
 
 def inverse_kernel(op: IntegralOperator) -> InverseKernel:
@@ -136,13 +141,13 @@ def inverse_kernel(op: IntegralOperator) -> InverseKernel:
     With W the weighted kernel blocks, L^-1_ij = W_ij + sum_{j<k<i} W_ik L^-1_kj,
     summed from zeros over ascending k as forward substitution adds them, so
     the tables equal impulses pushed through ``_invert_data`` bit for bit.
-    Dividing out the quadrature weights gives node tables; all-zero ones are
-    dropped.
+    Once the recursion is done, each block is divided by the quadrature
+    weights and negated in place, which gives the node tables (-(b / w) has
+    the bits of -b / w); all-zero ones are dropped.
     """
     grid, m = op.grid, op.m
     w = grid.trapezoid_weights()
     blocks: dict[tuple[int, int], np.ndarray] = {}
-    tables: dict[tuple[int, int], np.ndarray] = {}
     for j in range(1, m):
         for i in range(j + 1, m + 1):
             block = np.zeros((grid.n_nodes, grid.n_nodes))
@@ -151,9 +156,11 @@ def inverse_kernel(op: IntegralOperator) -> InverseKernel:
                 if kw is not None:
                     block += kw if k == j else kw @ blocks[(k, j)]
             blocks[(i, j)] = block
-            theta = -block / w[None, :]
-            if np.any(theta):
-                tables[(i, j)] = theta
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    for key, block in blocks.items():
+        theta = np.negative(np.divide(block, w[None, :], out=block), out=block)
+        if np.any(theta):
+            tables[key] = theta
     return InverseKernel(m, grid, tables)
 
 

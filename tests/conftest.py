@@ -9,14 +9,18 @@ import pytest
 from hyperstab import (
     CascadeMatrix,
     ClosedLoopSpec,
+    FredholmKernel,
     Grid,
     HyperbolicSystem,
     IntegralOperator,
     Profile,
     StateVector,
     Trajectory,
+    eval_kernel,
     invert_fredholm,
 )
+from hyperstab.kernels import KernelResidual
+from hyperstab.system_model import phi_map
 
 
 @pytest.fixture
@@ -69,6 +73,70 @@ def feedback_H(op: IntegralOperator, state: StateVector) -> np.ndarray:
     out = np.zeros(op.m)
     for (i, j), kw in op.weighted.items():
         out[i - 1] -= kw[-1, :] @ z[j - 1]
+    return out
+
+
+def support_mask(system: HyperbolicSystem, i: int, j: int, grid: Grid) -> np.ndarray:
+    """Closed support phi_i(x) <= phi_j(y) of kernel entry (i, j) at every
+    (x, y) node pair, as one whole N x N table."""
+    x = grid.nodes
+    return phi_map(system, i, grid)(x)[:, None] - phi_map(system, j, grid)(x)[None, :] <= 0.0
+
+
+def reference_kernel_tables(
+    system: HyperbolicSystem, g: CascadeMatrix, grid: Grid
+) -> dict[tuple[int, int], np.ndarray]:
+    """Every populated kernel table as ``eval_kernel`` gives it on the whole
+    node meshgrid at once: what ``build_kernel`` tabulates band by band."""
+    xx, yy = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    return {
+        (i, j): eval_kernel(system, g, i, j, xx, yy, grid)
+        for (i, j) in g.lower_pairs()
+        if g.entry(i, j) is not None
+    }
+
+
+def reference_residual(
+    system: HyperbolicSystem, g: CascadeMatrix, kernel: FredholmKernel, grid: Grid
+) -> dict[tuple[int, int], KernelResidual]:
+    """``kernel_residual`` on whole tables, the way it was taken before it
+    worked in row bands: the stencil over the whole interior at once, the
+    interface test on the whole support mask."""
+    x, dx = grid.nodes, grid.dx
+    out = {}
+    for (i, j), table in kernel.tables.items():
+        lam_i = system.speeds[i - 1](x)
+        lam_j = system.speeds[j - 1](x)
+        dlam_j = system.speeds[j - 1].derivative(x)
+        res = (
+            lam_i[1:-1, None] * (table[2:, 1:-1] - table[:-2, 1:-1]) / (2 * dx)
+            + lam_j[None, 1:-1] * (table[1:-1, 2:] - table[1:-1, :-2]) / (2 * dx)
+            + dlam_j[None, 1:-1] * table[1:-1, 1:-1]
+        )
+        mask = support_mask(system, i, j, grid)
+        inside = (
+            mask[1:-1, 1:-1]
+            & mask[2:, 1:-1]
+            & mask[:-2, 1:-1]
+            & mask[1:-1, 2:]
+            & mask[1:-1, :-2]
+        )
+        outside = ~(
+            mask[1:-1, 1:-1]
+            | mask[2:, 1:-1]
+            | mask[:-2, 1:-1]
+            | mask[1:-1, 2:]
+            | mask[1:-1, :-2]
+        )
+        clean = inside | outside
+        interior = float(np.max(np.abs(res[clean]))) if np.any(clean) else 0.0
+        gij = g.entry(i, j)
+        data = gij(x) / (-lam_j[0]) if gij is not None else np.zeros_like(x)
+        out[(i, j)] = KernelResidual(
+            interior,
+            float(np.max(np.abs(table[0, :]))),
+            float(np.max(np.abs(table[1:, 0] - data[1:]))),
+        )
     return out
 
 

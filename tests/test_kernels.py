@@ -17,12 +17,34 @@ from hyperstab import (
     kernel_oracle_solve,
     kernel_residual,
 )
-from hyperstab.kernels import oracle_gap, write_kernel_tables_csv
-from tests.conftest import SPECIAL_FLOATS, assert_same_text, csv_reference
+from hyperstab.kernels import _BAND_ROWS, oracle_gap, write_kernel_tables_csv
+from tests.conftest import (
+    SPECIAL_FLOATS,
+    assert_same_text,
+    csv_reference,
+    reference_kernel_tables,
+    reference_residual,
+    support_mask,
+)
 
 
 def sq_profile():
     return Profile.poly(0.0, 0.0, 1.0)  # x^2: smooth, flat at the inflow corner
+
+
+def affine_speed_case():
+    """Affine left speeds, so the support interface is curved, and a smooth
+    source, so the interior residual is not zero."""
+    sys_ = HyperbolicSystem(
+        3, 2,
+        (Profile.affine(-2, -0.5), Profile.affine(-1, -0.25), Profile.constant(1)),
+        np.array([[1.0, 1.0]]),
+    )
+    return sys_, CascadeMatrix(3, 2, {(2, 1): sq_profile()})
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 class TestCascadeStructure:
@@ -113,9 +135,7 @@ class TestEvalKernel:
             (Profile.affine(-2, -0.5), Profile.affine(-1, -0.25), Profile.constant(1)),
             np.array([[1.0, 1.0]]),
         )
-        g = CascadeMatrix(3, 2, {(2, 1): Profile.constant(1)})
-        kern = build_kernel(sys_, g, Grid(32))
-        mask = kern.masks[(2, 1)]
+        mask = support_mask(sys_, 2, 1, Grid(32))
         # for each y, the supported x set is a trailing interval ending at x=1
         for q in range(mask.shape[1]):
             col = mask[:, q]
@@ -208,12 +228,7 @@ class TestResidual:
         assert res.boundary_y0_max <= 1e-12
 
     def test_affine_speed_residual_first_order(self):
-        sys_ = HyperbolicSystem(
-            3, 2,
-            (Profile.affine(-2, -0.5), Profile.affine(-1, -0.25), Profile.constant(1)),
-            np.array([[1.0, 1.0]]),
-        )
-        g = CascadeMatrix(3, 2, {(2, 1): sq_profile()})
+        sys_, g = affine_speed_case()
         grid = Grid(128)
         kern = build_kernel(sys_, g, grid)
         res = kernel_residual(sys_, g, kern, grid)[(2, 1)]
@@ -226,6 +241,62 @@ class TestResidual:
         grid = Grid(32)
         kern = build_kernel(s3_system, g, grid)
         assert kernel_residual(s3_system, g, kern, grid) == {}
+
+    def test_nan_interior_entry_propagates(self, s3_system, s3_cascade):
+        # three bands; the NaN sits in the last, after bands of finite residuals
+        grid = Grid(3 * _BAND_ROWS - 8)
+        kern = build_kernel(s3_system, s3_cascade, grid)
+        kern.tables[(2, 1)][-4, 3] = np.nan  # deep inside the support
+        res = kernel_residual(s3_system, s3_cascade, kern, grid)[(2, 1)]
+        assert np.isnan(res.interior_max)
+
+
+def band_cases():
+    """(system, cascade) of S3 and of the affine-speed case, each at node
+    counts one below, equal to and one above the band height."""
+    s3 = (
+        HyperbolicSystem(
+            3, 2,
+            (Profile.constant(-2), Profile.constant(-1), Profile.constant(1)),
+            np.array([[1.0, 1.0]]),
+        ),
+        CascadeMatrix(3, 2, {key: Profile.constant(1) for key in ((2, 1), (3, 1), (3, 2))}),
+    )
+    return [
+        pytest.param(*case, Grid(_BAND_ROWS + d - 1), id=f"{name}-nodes{_BAND_ROWS + d}")
+        for name, case in (("s3", s3), ("affine", affine_speed_case()))
+        for d in (-1, 0, 1)
+    ]
+
+
+class TestBands:
+    """The banded layers give the bits of their whole-table references."""
+
+    @pytest.mark.parametrize("system, g, grid", band_cases())
+    def test_build_kernel_matches_meshgrid(self, system, g, grid):
+        tables = build_kernel(system, g, grid).tables
+        reference = reference_kernel_tables(system, g, grid)
+        assert tables.keys() == reference.keys()
+        for key, tab in reference.items():
+            assert np.array_equal(bits(tables[key]), bits(tab))
+
+    @pytest.mark.parametrize("system, g, grid", band_cases())
+    def test_residual_matches_whole_table(self, system, g, grid):
+        kern = build_kernel(system, g, grid)
+        got = kernel_residual(system, g, kern, grid)
+        reference = reference_residual(system, g, kern, grid)
+        assert got.keys() == reference.keys()
+        for key, want in reference.items():
+            fields = ("interior_max", "boundary_x0_max", "boundary_y0_max")
+            assert np.array_equal(bits([getattr(got[key], f) for f in fields]),
+                                  bits([getattr(want, f) for f in fields]))
+
+    def test_affine_residual_not_trivial(self):
+        # the bitwise check above would pass vacuously on all-zero residuals
+        system, g = affine_speed_case()
+        grid = Grid(_BAND_ROWS)
+        res = kernel_residual(system, g, build_kernel(system, g, grid), grid)
+        assert res[(2, 1)].interior_max > 0.0
 
 
 def test_csv_text_format(tmp_path):
@@ -255,6 +326,8 @@ def test_oracle_gap(s3_system, s3_cascade):
         max(float(d.max()) for d in diffs),
         max(float(d.mean()) for d in diffs),
     )
+    # the gaps are taken in the oracle tables themselves
+    assert all(np.array_equal(oracle[key], d) for key, d in zip(oracle, diffs))
     empty = CascadeMatrix(3, 2, {})
     assert oracle_gap(build_kernel(s3_system, empty, grid), {}) == (0.0, 0.0)
 

@@ -17,7 +17,10 @@ from hyperstab import (
     build_kernel,
     inverse_kernel,
     invert_fredholm,
+    kernel_oracle_solve,
+    kernel_residual,
 )
+from hyperstab.kernels import _BAND_ROWS, oracle_gap
 from tests.conftest import feedback_H, random_state, zero_state
 
 
@@ -168,6 +171,21 @@ class TestInverseKernel:
         theta = inverse_kernel(op)
         assert dense_identity_error(op, theta) <= 1e-10
         assert theta.identity_error(op) <= 1e-10
+
+    @pytest.mark.parametrize("n_nodes", [_BAND_ROWS - 1, _BAND_ROWS, _BAND_ROWS + 1,
+                                         2 * _BAND_ROWS + 5])
+    def test_banded_identity_error_matches_dense(self, n_nodes):
+        sys_, g, grid, op = make_m3_operator(n_nodes - 1)
+        theta = inverse_kernel(op)
+        assert abs(theta.identity_error(op) - dense_identity_error(op, theta)) <= 1e-14
+
+    def test_identity_error_propagates_nan(self):
+        # two bands; the NaN sits in the second, in the last of three tables
+        sys_, g, grid, op = make_m3_operator(_BAND_ROWS + 16)
+        theta = inverse_kernel(op)
+        assert list(theta.tables) == [(2, 1), (3, 1), (3, 2)]
+        theta.tables[(3, 2)][_BAND_ROWS + 5, 7] = np.nan
+        assert np.isnan(theta.identity_error(op))
 
 
 class TestFeedback:
@@ -413,3 +431,45 @@ def test_block_inverse_matches_dense_reference(case):
         assert np.array_equal(theta.tables[key], tab)
         assert np.array_equal(np.signbit(theta.tables[key]), np.signbit(tab))
     assert abs(theta.identity_error(op) - dense_identity_error(op, theta)) <= 1e-14
+
+
+def test_certification_layers_hold_one_band(s3_system, s3_cascade):
+    # Each layer ``verify`` certifies the kernel with may hold, above what is
+    # alive before it and its own output, at most half an N x N table: its
+    # temporaries span one band of rows, not the square.  Measured on S3 at
+    # N = 400 (one table is 1.29 MB), in tables: build_kernel 0.39,
+    # kernel_residual 0.41, kernel_oracle_solve 0.03, oracle_gap 0.00,
+    # inverse_kernel 0.05, identity_error 0.24.  With whole-table
+    # temporaries the same layers added 3.1, 3.3, 0.03, 2.0, 2.1 and 3.0.
+    grid = Grid(400)
+    table = 8 * grid.n_nodes**2
+    system, g = s3_system, s3_cascade
+
+    def layers(measure):
+        kern = measure("build_kernel", lambda: build_kernel(system, g, grid))
+        op = IntegralOperator.from_kernel(kern)
+        measure("kernel_residual", lambda: kernel_residual(system, g, kern, grid))
+        oracle = measure("kernel_oracle_solve", lambda: kernel_oracle_solve(system, g, grid))
+        measure("oracle_gap", lambda: oracle_gap(kern, oracle))
+        theta = measure("inverse_kernel", lambda: inverse_kernel(op))
+        measure("identity_error", lambda: theta.identity_error(op))
+
+    # a first call's one-time allocations would count against its layer
+    layers(lambda name, fn: fn())
+    excess = {}
+
+    def measure(name, fn):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        after, peak = tracemalloc.get_traced_memory()
+        excess[name] = (peak - max(after, before)) / table
+        return out
+
+    tracemalloc.start()
+    try:
+        layers(measure)
+    finally:
+        tracemalloc.stop()
+    assert len(excess) == 6
+    assert max(excess.values()) <= 0.5, excess
