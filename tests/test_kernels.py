@@ -251,37 +251,31 @@ class TestResidual:
         assert np.isnan(res.interior_max)
 
 
-def band_cases():
-    """(system, cascade) of S3 and of the affine-speed case, each at node
-    counts one below, equal to and one above the band height."""
-    s3 = (
-        HyperbolicSystem(
-            3, 2,
-            (Profile.constant(-2), Profile.constant(-1), Profile.constant(1)),
-            np.array([[1.0, 1.0]]),
-        ),
-        CascadeMatrix(3, 2, {key: Profile.constant(1) for key in ((2, 1), (3, 1), (3, 2))}),
-    )
-    return [
-        pytest.param(*case, Grid(_BAND_ROWS + d - 1), id=f"{name}-nodes{_BAND_ROWS + d}")
-        for name, case in (("s3", s3), ("affine", affine_speed_case()))
-        for d in (-1, 0, 1)
-    ]
+@pytest.fixture(params=["s3", "affine"])
+def band_case(request, s3_system, s3_cascade):
+    """(system, cascade) of S3 and of the affine-speed case."""
+    return (s3_system, s3_cascade) if request.param == "s3" else affine_speed_case()
+
+
+# node counts one below, equal to and one above the band height
+BAND_NODES = pytest.mark.parametrize("n_nodes", [_BAND_ROWS - 1, _BAND_ROWS, _BAND_ROWS + 1])
 
 
 class TestBands:
     """The banded layers give the bits of their whole-table references."""
 
-    @pytest.mark.parametrize("system, g, grid", band_cases())
-    def test_build_kernel_matches_meshgrid(self, system, g, grid):
+    @BAND_NODES
+    def test_build_kernel_matches_meshgrid(self, band_case, n_nodes):
+        (system, g), grid = band_case, Grid(n_nodes - 1)
         tables = build_kernel(system, g, grid).tables
         reference = reference_kernel_tables(system, g, grid)
         assert tables.keys() == reference.keys()
         for key, tab in reference.items():
             assert np.array_equal(bits(tables[key]), bits(tab))
 
-    @pytest.mark.parametrize("system, g, grid", band_cases())
-    def test_residual_matches_whole_table(self, system, g, grid):
+    @BAND_NODES
+    def test_residual_matches_whole_table(self, band_case, n_nodes):
+        (system, g), grid = band_case, Grid(n_nodes - 1)
         kern = build_kernel(system, g, grid)
         got = kernel_residual(system, g, kern, grid)
         reference = reference_residual(system, g, kern, grid)
