@@ -5,7 +5,8 @@ gamma-target loop once with the optimal-time feedback and once with zero
 feedback, and tabulates when each trajectory settles relative to the two
 control times.  It also records the kernel oracle gap and the transform
 commutation deviation so the first-order convergence of the discretization
-is visible in one table.
+is visible in one table.  Settle times use the relative tolerance of
+``hyperstab verify`` (``TOLERANCES["vanish_rel"]``).
 
 Usage:
     python scripts/run_s3_study.py [--grids 100,200,400] [--out out/study]
@@ -35,6 +36,7 @@ from hyperstab import (  # noqa: E402
     simulate,
     vanish_time,
 )
+from hyperstab.cli import TOLERANCES  # noqa: E402
 from hyperstab.kernels import format_floats, oracle_gap, write_csv  # noqa: E402
 
 S3 = Path(__file__).resolve().parent.parent / "scenarios" / "s3.cfg"
@@ -44,8 +46,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grids", default="100,200,400")
     ap.add_argument("--out", default="out/study")
-    ap.add_argument("--tol", type=float, default=1e-2,
-                    help="relative sup-norm tolerance for the settle time")
     args = ap.parse_args()
     grids = [int(v) for v in args.grids.split(",")]
     outdir = Path(args.out)
@@ -82,8 +82,8 @@ def main() -> int:
             "n_cells": n_cells,
             "t_opt": t_opt,
             "t_naive": t_f,
-            "settle_optimal_feedback": vanish_time(run_opt, args.tol),
-            "settle_zero_feedback": vanish_time(run_naive, args.tol),
+            "settle_optimal_feedback": vanish_time(run_opt, TOLERANCES["vanish_rel"]),
+            "settle_zero_feedback": vanish_time(run_naive, TOLERANCES["vanish_rel"]),
             "kernel_oracle_mean_gap": gap,
             "commutation_dev_rel": dev / gamma0_dev,
         })

@@ -1,10 +1,10 @@
 """Command-line driver: synthesize, simulate, verify and sweep scenarios.
 
-Commands take one or more scenario files and run them in parallel, each
-writing into its own ``<out>/<scenario name>/`` directory; printed output is
-buffered per scenario so runs stay byte-reproducible.  Exit codes: 0 all
-good, 1 at least one verification check failed, 2 configuration or I/O
-error.
+Commands take one or more scenario files and run them one after another,
+in argument order, each writing into its own ``<out>/<scenario name>/``
+directory and printing its lines once it is done, so runs stay
+byte-reproducible.  Exit codes: 0 all good, 1 at least one verification
+check failed, 2 configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,8 +107,7 @@ def _cmd_synthesize(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     system = scn.system()
     g = scn.cascade()
     kernel = build_kernel(system, g, grid)
-    op = IntegralOperator.from_kernel(kernel)
-    theta = inverse_kernel(op)
+    theta = inverse_kernel(IntegralOperator.from_kernel(kernel))
 
     outdir.mkdir(parents=True, exist_ok=True)
     write_kernel_tables_csv(kernel.tables, grid, outdir / "kernel.csv")
@@ -177,7 +175,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
 
     kernel = build_kernel(system, g, grid)
     op = IntegralOperator.from_kernel(kernel)
-    res = kernel_residual(system, g, kernel, grid)
+    res = kernel_residual(kernel)
     # np.max, unlike max(), lets a NaN through to FAIL the comparison
     bmax = np.max([(r.boundary_x0_max, r.boundary_y0_max) for r in res.values()], initial=0.0)
     checks.append(Check("kernel_boundary", bmax <= 1e-12, f"max mismatch {bmax:.3g}"))
@@ -393,18 +391,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"--grids: expected integers, got {args.grids!r}", file=sys.stderr)
             return 2
 
-    out_root = Path(args.out)
-    paths = list(args.configs)
-    if len(paths) == 1:
-        results = [_run_one(args.command, paths[0], out_root, grids)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-            results = list(
-                pool.map(lambda p: _run_one(args.command, p, out_root, grids), paths)
-            )
-
     code = 0
-    for rc, lines in results:
+    for path in args.configs:
+        rc, lines = _run_one(args.command, path, Path(args.out), grids)
         code = max(code, rc)
         if not args.quiet:
             stream = sys.stderr if rc == 2 else sys.stdout

@@ -20,8 +20,10 @@ An independent check marches the defining transport system
 in y by first-order upwinding in x; closed form and march must agree to
 first order on refinement.
 
-The kernel is tabulated and its residual taken in bands of ``_BAND_ROWS``
-x rows, and :func:`oracle_gap` takes the gaps in the oracle tables it is
+:func:`eval_kernel` is the one evaluation of the closed form:
+:func:`build_kernel` fills each table from it in bands of ``_BAND_ROWS`` x
+rows, :func:`kernel_residual` checks the tables in bands of the same
+height, and :func:`oracle_gap` takes the gaps in the oracle tables it is
 given.  So beyond one table per populated entry, no layer here holds more
 than one band of temporaries.  The support of a band is recomputed from the
 travel-time maps where it is read; no support table is stored.
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .system_model import Grid, HyperbolicSystem, PhiMap, Profile, phi_map
+from .system_model import Grid, HyperbolicSystem, Profile, phi_map
 
 # x-rows per band in the layers that tabulate, check or invert the kernel
 _BAND_ROWS = 32
@@ -126,40 +128,23 @@ def eval_kernel(
     y,
     grid: Grid,
 ):
-    """Closed-form kernel entry k_ij at (x, y); zero outside its support.
+    """Closed-form kernel entry k_ij at broadcastable (x, y); zero outside
+    its support, and a float for scalar x and y.
 
     The support is the closed region phi_i(x) <= phi_j(y).  The (0, 0)
     corner is the one point where the inflow condition k(0, y) = 0 and the
-    y = 0 data meet; the inflow side wins there, so the value is 0.
+    y = 0 data meet; the inflow side wins there, so the value is 0.  The
+    evaluation is elementwise, so any band of x rows gives the bits of the
+    same rows of the whole table.
     """
     if not (2 <= i <= system.m and 1 <= j <= i - 1):
         raise ValueError(
             f"kernel entry ({i}, {j}) outside cascade range 2 <= i <= {system.m}, j < i"
         )
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    vals = _closed_form(
-        system, g, i, j, np.atleast_1d(x_arr), np.atleast_1d(y_arr),
-        phi_map(system, i, grid), phi_map(system, j, grid),
-    )
-    shape = np.broadcast_shapes(x_arr.shape, y_arr.shape)
-    return vals.reshape(shape) if shape else float(vals[0])
-
-
-def _closed_form(
-    system: HyperbolicSystem,
-    g: CascadeMatrix,
-    i: int,
-    j: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    pm_i: PhiMap,
-    pm_j: PhiMap,
-) -> np.ndarray:
-    """k_ij on broadcastable (x, y) arrays, from the travel-time maps of
-    components i and j.  Elementwise, so any band of x rows gives the bits
-    of the same rows of the whole table."""
-    s = pm_i(x) - pm_j(y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pm_i = phi_map(system, i, grid)
+    s = pm_i(x) - phi_map(system, j, grid)(y)
     support = s <= 0.0
     gij = g.entry(i, j)
     if gij is None:
@@ -167,7 +152,8 @@ def _closed_form(
     else:
         arg = pm_i.inverse(np.where(support, s, 0.0))
         vals = np.where(support, gij(arg) / (-system.speeds[j - 1](y)), 0.0)
-    return np.where((x == 0.0) & (y == 0.0), 0.0, vals)
+    vals = np.where((x == 0.0) & (y == 0.0), 0.0, vals)
+    return vals if vals.ndim else float(vals)
 
 
 @dataclass(frozen=True)
@@ -194,7 +180,6 @@ def build_kernel(system: HyperbolicSystem, g: CascadeMatrix, grid: Grid) -> Fred
     """Tabulate every populated entry of the closed-form kernel on the grid,
     ``_BAND_ROWS`` x rows at a time."""
     x = grid.nodes
-    maps = {i: phi_map(system, i, grid) for i in range(1, system.m + 1)}
     tables: dict[tuple[int, int], np.ndarray] = {}
     for (i, j) in g.lower_pairs():
         if g.entry(i, j) is None:
@@ -202,9 +187,7 @@ def build_kernel(system: HyperbolicSystem, g: CascadeMatrix, grid: Grid) -> Fred
         table = np.empty((grid.n_nodes, grid.n_nodes))
         for lo in range(0, grid.n_nodes, _BAND_ROWS):
             rows = slice(lo, lo + _BAND_ROWS)
-            table[rows] = _closed_form(
-                system, g, i, j, x[rows, None], x[None, :], maps[i], maps[j]
-            )
+            table[rows] = eval_kernel(system, g, i, j, x[rows, None], x[None, :], grid)
         tables[(i, j)] = table
     return FredholmKernel(system, g, grid, tables)
 
@@ -289,13 +272,9 @@ class KernelResidual:
     boundary_y0_max: float
 
 
-def kernel_residual(
-    system: HyperbolicSystem,
-    g: CascadeMatrix,
-    kernel: FredholmKernel,
-    grid: Grid,
-) -> dict[tuple[int, int], KernelResidual]:
-    """Centered-difference residual of the transport identity, per entry.
+def kernel_residual(kernel: FredholmKernel) -> dict[tuple[int, int], KernelResidual]:
+    """Centered-difference residual of the transport identity, per entry,
+    on the system, cascade and grid the kernel was tabulated from.
 
     Interior residuals are taken only at nodes whose five-point stencil does
     not straddle the support interface (the tabulated entry is not smooth
@@ -306,6 +285,7 @@ def kernel_residual(
     The interior is taken ``_BAND_ROWS`` rows at a time, each band reading
     the table rows p - 1 .. p + 1 and the support of just those rows.
     """
+    system, g, grid = kernel.system, kernel.source, kernel.grid
     x = grid.nodes
     dx = grid.dx
     out: dict[tuple[int, int], KernelResidual] = {}

@@ -273,6 +273,7 @@ def load_scenario(path: str | Path) -> Scenario:
     sigma_entries: dict[tuple[int, int], Profile] = {}
     q_entries: dict[tuple[int, int], float] = {}
     init_specs: dict[int, tuple] = {}
+    named: dict[tuple, str] = {}  # (section, *indices) -> first key naming it
 
     for key in sorted(kv):
         value = kv[key]
@@ -300,6 +301,10 @@ def load_scenario(path: str | Path) -> Scenario:
         else:
             continue
         kv.pop(key)
+        # speed.01 and speed.1 parse to the same index; one would be dropped
+        first = named.setdefault((key.partition(".")[0], *map(int, m_.groups())), key)
+        if first != key:
+            bad.append(f"{key}: names the same entry as {first}")
 
     dynamics = kv.pop("dynamics", None)
     if dynamics is None:
@@ -361,6 +366,9 @@ def load_scenario(path: str | Path) -> Scenario:
         for i in range(1, n + 1):
             if i not in speeds:
                 bad.append(f"speed.{i}: required field missing")
+        for i in sorted(speeds):
+            if not 1 <= i <= n:
+                bad.append(f"speed.{i}: component outside 1..{n}")
         for (i, j) in q_entries:
             if not (1 <= i <= n - m and 1 <= j <= m):
                 bad.append(f"q.{i}.{j}: outside the {(n - m)}x{m} coupling shape")

@@ -81,75 +81,66 @@ class Grid:
 
 @dataclass(frozen=True)
 class Profile:
-    """Scalar function of x on [0, 1].
+    """Scalar function of x on [0, 1]: a polynomial or a table.
 
-    Supported kinds: ``constant`` (c), ``affine`` (a + b*x), ``poly``
-    (coefficients c0..c3, low order first) and ``tabulated`` (samples on
-    uniform nodes, linearly interpolated).  Used both for the transport
-    speeds and for coupling coefficients.
+    ``coeffs`` are the coefficients c0..c3 of a polynomial of degree at most
+    3, low order first: :meth:`constant` and :meth:`affine` give degrees 0
+    and 1, :meth:`poly` takes 1 to 4 coefficients.  With ``samples`` set
+    (:meth:`tabulated`) the profile is instead linear interpolation of the
+    samples on uniform nodes.  Used both for the transport speeds and for
+    coupling coefficients.
     """
 
-    kind: str
     coeffs: tuple[float, ...] = ()
     samples: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "affine", "poly", "tabulated"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "tabulated":
-            if self.samples is None or len(self.samples) < 2:
+        if self.samples is not None:
+            if len(self.samples) < 2:
                 raise ValueError("tabulated profile needs at least two samples")
             object.__setattr__(
                 self, "samples", np.asarray(self.samples, dtype=float)
             )
-        elif self.kind == "poly" and not (1 <= len(self.coeffs) <= 4):
+        elif not (1 <= len(self.coeffs) <= 4):
             raise ValueError("poly profile takes 1 to 4 coefficients")
 
     @classmethod
     def constant(cls, c: float) -> "Profile":
-        return cls("constant", (float(c),))
+        return cls((float(c),))
 
     @classmethod
     def affine(cls, a: float, b: float) -> "Profile":
-        return cls("affine", (float(a), float(b)))
+        return cls((float(a), float(b)))
 
     @classmethod
     def poly(cls, *coeffs: float) -> "Profile":
-        return cls("poly", tuple(float(c) for c in coeffs))
+        return cls(tuple(float(c) for c in coeffs))
 
     @classmethod
     def tabulated(cls, values: Sequence[float]) -> "Profile":
-        return cls("tabulated", (), np.asarray(values, dtype=float))
+        return cls((), np.asarray(values, dtype=float))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.coeffs[0])
-        if self.kind == "affine":
-            a, b = self.coeffs
-            return a + b * x
-        if self.kind == "poly":
-            out = np.zeros_like(x)
-            for c in reversed(self.coeffs):
-                out = out * x + c
-            return out
-        t = np.linspace(0.0, 1.0, len(self.samples))
-        return np.interp(x, t, self.samples)
+        if self.samples is not None:
+            t = np.linspace(0.0, 1.0, len(self.samples))
+            return np.interp(x, t, self.samples)
+        *lower, top = self.coeffs
+        out = np.full_like(x, top)
+        for c in reversed(lower):
+            out = out * x + c
+        return out
 
     def derivative(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(x)
-        if self.kind == "affine":
-            return np.full_like(x, self.coeffs[1])
-        if self.kind == "poly":
-            out = np.zeros_like(x)
-            for k, c in enumerate(self.coeffs[1:], start=1):
-                out = out + k * c * x ** (k - 1)
-            return out
-        t = np.linspace(0.0, 1.0, len(self.samples))
-        slopes = np.gradient(self.samples, t)
-        return np.interp(x, t, slopes)
+        if self.samples is not None:
+            t = np.linspace(0.0, 1.0, len(self.samples))
+            slopes = np.gradient(self.samples, t)
+            return np.interp(x, t, slopes)
+        out = np.zeros_like(x)
+        for k, c in enumerate(self.coeffs[1:], start=1):
+            out = out + k * c * x ** (k - 1)
+        return out
 
 
 @dataclass(frozen=True)

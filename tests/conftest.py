@@ -76,6 +76,30 @@ def feedback_H(op: IntegralOperator, state: StateVector) -> np.ndarray:
     return out
 
 
+def reference_profile(kind: str, params, x) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative at ``x`` of the profile ``Profile.<kind>(params)``
+    builds, dispatched over the four kinds a profile was once stored as:
+    ``constant`` (c), ``affine`` (a, b), ``poly`` (c0..c3, low order first)
+    and ``tabulated`` (samples).  The reference the one polynomial-or-table
+    ``Profile`` is checked against."""
+    x = np.asarray(x, dtype=float)
+    if kind == "constant":
+        return np.full_like(x, params[0]), np.zeros_like(x)
+    if kind == "affine":
+        a, b = params
+        return a + b * x, np.full_like(x, b)
+    if kind == "poly":
+        value = np.zeros_like(x)
+        for c in reversed(params):
+            value = value * x + c
+        slope = np.zeros_like(x)
+        for k, c in enumerate(params[1:], start=1):
+            slope = slope + k * c * x ** (k - 1)
+        return value, slope
+    t = np.linspace(0.0, 1.0, len(params))
+    return np.interp(x, t, params), np.interp(x, t, np.gradient(params, t))
+
+
 def support_mask(system: HyperbolicSystem, i: int, j: int, grid: Grid) -> np.ndarray:
     """Closed support phi_i(x) <= phi_j(y) of kernel entry (i, j) at every
     (x, y) node pair, as one whole N x N table."""

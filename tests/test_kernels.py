@@ -222,7 +222,7 @@ class TestResidual:
         g = CascadeMatrix(3, 2, {(2, 1): sq_profile()})
         grid = Grid(128)
         kern = build_kernel(s3_system, g, grid)
-        res = kernel_residual(s3_system, g, kern, grid)[(2, 1)]
+        res = kernel_residual(kern)[(2, 1)]
         assert res.interior_max <= 0.5 * grid.dx
         assert res.boundary_x0_max == 0.0
         assert res.boundary_y0_max <= 1e-12
@@ -231,7 +231,7 @@ class TestResidual:
         sys_, g = affine_speed_case()
         grid = Grid(128)
         kern = build_kernel(sys_, g, grid)
-        res = kernel_residual(sys_, g, kern, grid)[(2, 1)]
+        res = kernel_residual(kern)[(2, 1)]
         assert res.interior_max <= 0.5 * grid.dx
         assert res.boundary_x0_max == 0.0
         assert res.boundary_y0_max <= 1e-12
@@ -240,14 +240,14 @@ class TestResidual:
         g = CascadeMatrix(3, 2, {})
         grid = Grid(32)
         kern = build_kernel(s3_system, g, grid)
-        assert kernel_residual(s3_system, g, kern, grid) == {}
+        assert kernel_residual(kern) == {}
 
     def test_nan_interior_entry_propagates(self, s3_system, s3_cascade):
         # three bands; the NaN sits in the last, after bands of finite residuals
         grid = Grid(3 * _BAND_ROWS - 8)
         kern = build_kernel(s3_system, s3_cascade, grid)
         kern.tables[(2, 1)][-4, 3] = np.nan  # deep inside the support
-        res = kernel_residual(s3_system, s3_cascade, kern, grid)[(2, 1)]
+        res = kernel_residual(kern)[(2, 1)]
         assert np.isnan(res.interior_max)
 
 
@@ -277,7 +277,7 @@ class TestBands:
     def test_residual_matches_whole_table(self, band_case, n_nodes):
         (system, g), grid = band_case, Grid(n_nodes - 1)
         kern = build_kernel(system, g, grid)
-        got = kernel_residual(system, g, kern, grid)
+        got = kernel_residual(kern)
         reference = reference_residual(system, g, kern, grid)
         assert got.keys() == reference.keys()
         for key, want in reference.items():
@@ -289,7 +289,7 @@ class TestBands:
         # the bitwise check above would pass vacuously on all-zero residuals
         system, g = affine_speed_case()
         grid = Grid(_BAND_ROWS)
-        res = kernel_residual(system, g, build_kernel(system, g, grid), grid)
+        res = kernel_residual(build_kernel(system, g, grid))
         assert res[(2, 1)].interior_max > 0.0
 
 

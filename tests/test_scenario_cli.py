@@ -1,4 +1,6 @@
 import csv
+import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,25 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(write_cfg(tmp_path, bad))
         assert any("g.2.2" in v for v in err.value.violations)
+
+    # one line appended to S3 (n = 3): a speed of no component, or an entry
+    # an earlier key already names under another spelling of its index
+    @pytest.mark.parametrize("line, violation", [
+        ("speed.4 = constant:5", "speed.4: component outside 1..3"),
+        ("speed.0 = constant:5", "speed.0: component outside 1..3"),
+        ("speed.01 = constant:-3", "speed.1: names the same entry as speed.01"),
+        ("g.02.1 = constant:5", "g.2.1: names the same entry as g.02.1"),
+        ("q.01.1 = 7", "q.1.1: names the same entry as q.01.1"),
+        ("init.03 = constant:1", "init.3: names the same entry as init.03"),
+    ])
+    def test_stray_or_repeated_index_rejected(self, tmp_path, capsys, line, violation):
+        path = write_cfg(tmp_path, S3_TEXT + "\n" + line + "\n")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.violations == [violation]
+        assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "[case] configuration error:", f"[case]   {violation}"]
 
     def test_initial_presets_deterministic(self):
         scn = load_scenario(SCENARIOS / "plant_demo.cfg")
@@ -365,6 +386,22 @@ class TestCliVerify:
         rc = main(["verify", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "tol.vanish_slack_steps: unknown field" in capsys.readouterr().err
+
+    def test_several_files_run_in_argument_order(self, tmp_path, monkeypatch):
+        # one stream for stdout and stderr, so their interleaving shows
+        text = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", text)
+        monkeypatch.setattr(sys, "stderr", text)
+        broken = write_cfg(tmp_path, "system.n = 3\n", "broken.cfg")
+        out = tmp_path / "out"
+        rc = main(["verify", str(SCENARIOS / "s3_naive.cfg"), str(broken), "--out", str(out)])
+        assert rc == 2
+        report = (out / "s3_naive" / "report.txt").read_text().splitlines()
+        lines = text.getvalue().splitlines()
+        assert lines[:len(report)] == report
+        assert lines[len(report)] == "[broken] configuration error:"
+        assert len(lines) > len(report) + 1
+        assert all(line.startswith("[broken]   ") for line in lines[len(report) + 1:])
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "system.n = 3\n")

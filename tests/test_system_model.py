@@ -17,7 +17,7 @@ from hyperstab import (
     validate_system,
 )
 from hyperstab.system_model import block_norms, phi_map
-from tests.conftest import validate_reference, zero_state
+from tests.conftest import reference_profile, validate_reference, zero_state
 
 
 def make_system(*speeds, m, q=None):
@@ -28,6 +28,32 @@ def make_system(*speeds, m, q=None):
     if q is None:
         q = np.zeros((n - m, m))
     return HyperbolicSystem(n, m, profs, q)
+
+
+# (fewest, most) parameters each profile constructor takes
+PROFILE_PARAMS = {"constant": (1, 1), "affine": (2, 2), "poly": (1, 4), "tabulated": (2, 6)}
+# finite, signed zeros included; bounded so that no sum overflows
+PROFILE_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e100, 1e100))
+
+
+@pytest.mark.parametrize("kind", list(PROFILE_PARAMS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_profile_matches_four_kind_reference(kind, data):
+    lo, hi = PROFILE_PARAMS[kind]
+    params = data.draw(st.lists(PROFILE_COEFF, min_size=lo, max_size=hi))
+    x = np.array([0.0, 1.0, -0.0] + data.draw(st.lists(st.floats(0.0, 1.0), max_size=12)))
+    make = getattr(Profile, kind)
+    prof = make(params) if kind == "tabulated" else make(*params)
+    got = (prof(x), prof.derivative(x))
+    want = reference_profile(kind, params, x)
+    # a -0.0 coefficient may flip the sign of a zero result, nothing more
+    signed_zero = any(c == 0.0 and math.copysign(1.0, c) < 0.0 for c in params)
+    for g, w in zip(got, want):
+        if signed_zero:
+            assert np.array_equal(g, w)
+        else:
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestValidate:

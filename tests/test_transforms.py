@@ -448,7 +448,7 @@ def test_certification_layers_hold_one_band(s3_system, s3_cascade):
     def layers(measure):
         kern = measure("build_kernel", lambda: build_kernel(system, g, grid))
         op = IntegralOperator.from_kernel(kern)
-        measure("kernel_residual", lambda: kernel_residual(system, g, kern, grid))
+        measure("kernel_residual", lambda: kernel_residual(kern))
         oracle = measure("kernel_oracle_solve", lambda: kernel_oracle_solve(system, g, grid))
         measure("oracle_gap", lambda: oracle_gap(kern, oracle))
         theta = measure("inverse_kernel", lambda: inverse_kernel(op))
