@@ -6,7 +6,9 @@ study script over N = 32, 64, each writing below ``--out``.  Prints one line
 per command (exit code, sha256 of its stdout) and one ``sha256  path`` line
 per output file, paths relative to ``--out``.  Two checkouts that produce the
 same outputs print identical lines, so a refactor that must keep the outputs
-byte-identical is checked by diffing this script's output on both.
+byte-identical is checked by diffing this script's output on both.  The
+commands run with BLAS on one thread: the last bits of a matrix product
+depend on the thread count, so the digests would depend on the shell.
 
 Usage:
     python scripts/output_digests.py --out out/digests
@@ -49,7 +51,8 @@ def main() -> int:
         sys.exit(f"{out} is not empty; stale files would be digested too")
     out.mkdir(parents=True, exist_ok=True)
 
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     # commands run inside --out with relative output paths, so their stdout
     # does not depend on where --out is
     for name, cmd in commands():

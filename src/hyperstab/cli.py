@@ -2,9 +2,10 @@
 
 Commands take one or more scenario files and run them one after another,
 in argument order, each writing into its own ``<out>/<scenario name>/``
-directory and printing its lines once it is done, so runs stay
-byte-reproducible.  Exit codes: 0 all good, 1 at least one verification
-check failed, 2 configuration or I/O error.
+directory (a name taken by an earlier file is a configuration error) and
+printing its lines once it is done, so runs stay byte-reproducible.  Exit
+codes: 0 all good, 1 at least one verification check failed, 2
+configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -344,11 +345,17 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
     return 0, lines
 
 
-def _run_one(cmd: str, path: str, out_root: Path, grids: list[int] | None) -> tuple[int, list[str]]:
+def _run_one(cmd: str, path: str, out_root: Path, grids: list[int] | None,
+             taken: dict[str, str]) -> tuple[int, list[str]]:
+    """Run one file; ``taken`` maps earlier files' names to their paths."""
     name = Path(path).stem
     try:
         scn = load_scenario(path)
         name, outdir = scn.name, out_root / scn.name
+        if name in taken:
+            raise ScenarioError([f"name: {name!r} is also the name of {taken[name]}, "
+                                 f"an earlier file of this command"])
+        taken[name] = path
         if cmd == "sweep":
             return _cmd_sweep(scn, outdir, grids or [])
         return {"synthesize": _cmd_synthesize, "simulate": _cmd_simulate,
@@ -392,8 +399,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     code = 0
+    taken: dict[str, str] = {}
     for path in args.configs:
-        rc, lines = _run_one(args.command, path, Path(args.out), grids)
+        rc, lines = _run_one(args.command, path, Path(args.out), grids, taken)
         code = max(code, rc)
         if not args.quiet:
             stream = sys.stderr if rc == 2 else sys.stdout

@@ -40,6 +40,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +68,8 @@ class Scenario:
     """A fully parsed scenario, still parameterized over the grid size."""
 
     name: str
-    n: int
-    m: int
-    speeds: dict[int, Profile]
-    q: np.ndarray
-    g_entries: dict[tuple[int, int], Profile]
-    sigma_entries: dict[tuple[int, int], Profile]
+    _system: HyperbolicSystem
+    _cascade: CascadeMatrix
     dynamics: str
     feedback_kind: str
     riesz_path: Path | None
@@ -84,6 +81,14 @@ class Scenario:
     seed: int
     snapshot_stride: int
 
+    @property
+    def n(self) -> int:
+        return self._system.n
+
+    @property
+    def m(self) -> int:
+        return self._system.m
+
     def grid(self, n_cells: int | None = None) -> Grid:
         return Grid(n_cells if n_cells is not None else self.grid_cells)
 
@@ -94,12 +99,12 @@ class Scenario:
         return v * grid.dx if kind == "dx" else v
 
     def system(self) -> HyperbolicSystem:
-        speeds = tuple(self.speeds[i] for i in range(1, self.n + 1))
-        sigma = self.sigma_entries or None
-        return HyperbolicSystem(self.n, self.m, speeds, self.q, sigma)
+        """The plant the loader validated."""
+        return self._system
 
     def cascade(self) -> CascadeMatrix:
-        return CascadeMatrix(self.n, self.m, dict(self.g_entries))
+        """The cascade band the loader validated."""
+        return self._cascade
 
     def initial_state(self, grid: Grid) -> StateVector:
         rng = np.random.default_rng(self.seed)
@@ -181,8 +186,8 @@ def _read_samples(path: Path) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _parse_profile(value: str, base: Path, allow_poly: bool, where: str,
-                   bad: list[str]) -> Profile | None:
+def _parse_profile(value: str, base: Path, where: str, bad: list[str],
+                   allow_poly: bool = True) -> Profile | None:
     head, _, rest = value.partition(":")
     try:
         if head == "constant":
@@ -217,6 +222,32 @@ def _parse_init(value: str, base: Path, where: str, bad: list[str]):
         return None
     bad.append(f"{where}: unknown initial-data form {value!r}")
     return None
+
+
+def _parse_finite(value: str, base: Path, where: str, bad: list[str]) -> float | None:
+    try:
+        return _number(value)
+    except ValueError:
+        bad.append(f"{where}: not a finite number ({value!r})")
+        return None
+
+
+# The indexed sections, in the order their index rules are applied: value
+# parser, index count, and the rule each index tuple must meet given n and m,
+# with the violation it reports (formatted with n, m and r = n - m).
+_SECTIONS = {
+    "speed": (partial(_parse_profile, allow_poly=False), 1,
+              lambda n, m, i: 1 <= i <= n, "component outside 1..{n}"),
+    "q": (_parse_finite, 2,
+          lambda n, m, i, j: 1 <= i <= n - m and 1 <= j <= m,
+          "outside the {r}x{m} coupling shape"),
+    "g": (_parse_profile, 2,
+          lambda n, m, i, j: 1 <= j <= m and j < i <= n,
+          "outside the strictly-lower cascade band"),
+    "sigma": (_parse_profile, 2,
+              lambda n, m, i, j: 1 <= i <= n and 1 <= j <= n, "outside the {n}x{n} matrix"),
+    "init": (_parse_init, 1, lambda n, m, i: 1 <= i <= n, "component outside 1..{n}"),
+}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -261,6 +292,9 @@ def load_scenario(path: str | Path) -> Scenario:
             return default
 
     name = kv.pop("name", path.stem)
+    # the name is the output directory below --out, so it must stay there
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        bad.append(f"name: need one plain path component, got {name!r}")
     n = take("system.n", int, required=True)
     m = take("system.m", int, required=True)
     if n is not None and n < 2:
@@ -268,41 +302,20 @@ def load_scenario(path: str | Path) -> Scenario:
     if n is not None and m is not None and not 1 <= m <= n - 1:
         bad.append(f"system.m: need 1 <= m <= n-1 = {n - 1}, got {m}")
 
-    speeds: dict[int, Profile] = {}
-    g_entries: dict[tuple[int, int], Profile] = {}
-    sigma_entries: dict[tuple[int, int], Profile] = {}
-    q_entries: dict[tuple[int, int], float] = {}
-    init_specs: dict[int, tuple] = {}
+    entries: dict[str, dict[tuple[int, ...], object]] = {section: {} for section in _SECTIONS}
     named: dict[tuple, str] = {}  # (section, *indices) -> first key naming it
-
     for key in sorted(kv):
-        value = kv[key]
-        if m_ := re.fullmatch(r"speed\.(\d+)", key):
-            prof = _parse_profile(value, base, allow_poly=False, where=key, bad=bad)
-            if prof is not None:
-                speeds[int(m_.group(1))] = prof
-        elif m_ := re.fullmatch(r"g\.(\d+)\.(\d+)", key):
-            prof = _parse_profile(value, base, allow_poly=True, where=key, bad=bad)
-            if prof is not None:
-                g_entries[(int(m_.group(1)), int(m_.group(2)))] = prof
-        elif m_ := re.fullmatch(r"sigma\.(\d+)\.(\d+)", key):
-            prof = _parse_profile(value, base, allow_poly=True, where=key, bad=bad)
-            if prof is not None:
-                sigma_entries[(int(m_.group(1)), int(m_.group(2)))] = prof
-        elif m_ := re.fullmatch(r"q\.(\d+)\.(\d+)", key):
-            try:
-                q_entries[(int(m_.group(1)), int(m_.group(2)))] = _number(value)
-            except ValueError:
-                bad.append(f"{key}: not a finite number ({value!r})")
-        elif m_ := re.fullmatch(r"init\.(\d+)", key):
-            spec = _parse_init(value, base, where=key, bad=bad)
-            if spec is not None:
-                init_specs[int(m_.group(1))] = spec
-        else:
+        section, *index = key.split(".")
+        row = _SECTIONS.get(section)
+        # anything else stays in kv and is reported as an unknown field
+        if row is None or len(index) != row[1] or not all(k.isdecimal() for k in index):
             continue
-        kv.pop(key)
+        idx = tuple(map(int, index))
+        value = row[0](kv.pop(key), base, key, bad)
+        if value is not None:
+            entries[section][idx] = value
         # speed.01 and speed.1 parse to the same index; one would be dropped
-        first = named.setdefault((key.partition(".")[0], *map(int, m_.groups())), key)
+        first = named.setdefault((section, *idx), key)
         if first != key:
             bad.append(f"{key}: names the same entry as {first}")
 
@@ -364,26 +377,16 @@ def load_scenario(path: str | Path) -> Scenario:
 
     if n is not None and m is not None and not bad:
         for i in range(1, n + 1):
-            if i not in speeds:
+            if (i,) not in entries["speed"]:
                 bad.append(f"speed.{i}: required field missing")
-        for i in sorted(speeds):
-            if not 1 <= i <= n:
-                bad.append(f"speed.{i}: component outside 1..{n}")
-        for (i, j) in q_entries:
-            if not (1 <= i <= n - m and 1 <= j <= m):
-                bad.append(f"q.{i}.{j}: outside the {(n - m)}x{m} coupling shape")
-        for (i, j) in sorted(g_entries):
-            if not (1 <= j <= m and 2 <= i <= n) or (i <= m and j >= i):
-                bad.append(f"g.{i}.{j}: outside the strictly-lower cascade band")
-        for (i, j) in sorted(sigma_entries):
-            if not (1 <= i <= n and 1 <= j <= n):
-                bad.append(f"sigma.{i}.{j}: outside the {n}x{n} matrix")
-        if sigma_entries and dynamics in ("gamma_target", "z_target"):
+        for section, (_, _, rule, violation) in _SECTIONS.items():
+            for idx in sorted(entries[section]):
+                if not rule(n, m, *idx):
+                    key = ".".join(map(str, (section, *idx)))
+                    bad.append(f"{key}: " + violation.format(n=n, m=m, r=n - m))
+        if entries["sigma"] and dynamics in ("gamma_target", "z_target"):
             bad.append("sigma: target dynamics carry no interior coupling")
-        for i in init_specs:
-            if not 1 <= i <= n:
-                bad.append(f"init.{i}: component outside 1..{n}")
-        if any(spec[0] == "random" for spec in init_specs.values()) and not seed_given:
+        if any(spec[0] == "random" for spec in entries["init"].values()) and not seed_given:
             bad.append("init.seed: required when any component uses a random preset")
         if dynamics == "z_target" and feedback_kind != "zero":
             bad.append("feedback: the z target system pins zero boundary feedback")
@@ -394,18 +397,20 @@ def load_scenario(path: str | Path) -> Scenario:
     if bad:
         raise ScenarioError(bad)
 
+    # the rules above cover every invariant the two constructors check
     q = np.zeros((n - m, m))
-    for (i, j), v in q_entries.items():
+    for (i, j), v in entries["q"].items():
         q[i - 1, j - 1] = v
-
-    scn = Scenario(
+    speeds = tuple(entries["speed"][(i,)] for i in range(1, n + 1))
+    system = HyperbolicSystem(n, m, speeds, q, entries["sigma"] or None)
+    try:
+        validate_system(system, Grid(grid_cells))
+    except ValueError as exc:
+        raise ScenarioError([f"speeds: {line}" for line in str(exc).splitlines()]) from exc
+    return Scenario(
         name=name,
-        n=n,
-        m=m,
-        speeds=speeds,
-        q=q,
-        g_entries=g_entries,
-        sigma_entries=sigma_entries,
+        _system=system,
+        _cascade=CascadeMatrix(n, m, entries["g"]),
         dynamics=dynamics,
         feedback_kind=feedback_kind,
         riesz_path=riesz_path,
@@ -413,20 +418,7 @@ def load_scenario(path: str | Path) -> Scenario:
         scheme=scheme,
         dt_spec=dt_spec,
         t_final=t_final,
-        init_specs=init_specs,
+        init_specs={i: spec for (i,), spec in entries["init"].items()},
         seed=seed,
         snapshot_stride=stride,
     )
-
-    # the assembled objects enforce the structural invariants; surface any
-    # failure as schema violations rather than tracebacks
-    try:
-        system = scn.system()
-        scn.cascade()
-    except ValueError as exc:
-        raise ScenarioError([str(exc)]) from exc
-    try:
-        validate_system(system, scn.grid())
-    except ValueError as exc:
-        raise ScenarioError([f"speeds: {line}" for line in str(exc).splitlines()]) from exc
-    return scn

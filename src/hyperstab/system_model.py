@@ -330,14 +330,7 @@ class StateVector:
     def n(self) -> int:
         return self.data.shape[0]
 
-    def sup_norm(self, block: str = "total") -> float:
-        return self._norm(0, block)
-
-    def l2_norm(self, block: str = "total") -> float:
-        return self._norm(1, block)
-
-    def _norm(self, kind: int, block: str) -> float:
-        if block not in BLOCKS:
-            raise ValueError(f"unknown block {block!r}")
-        norms = block_norms(self.data, self.m, self.grid.trapezoid_weights())
-        return float(norms[kind][BLOCKS.index(block)])
+    def sup_norm(self) -> float:
+        """Sup norm over every component."""
+        sup, _ = block_norms(self.data, self.m, self.grid.trapezoid_weights())
+        return float(sup[BLOCKS.index("total")])

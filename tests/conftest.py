@@ -20,7 +20,7 @@ from hyperstab import (
     invert_fredholm,
 )
 from hyperstab.kernels import KernelResidual
-from hyperstab.system_model import phi_map
+from hyperstab.system_model import BLOCKS, block_norms, phi_map
 
 
 @pytest.fixture
@@ -48,6 +48,14 @@ def s3_cascade() -> CascadeMatrix:
 
 def zero_state(grid: Grid, n: int, m: int) -> StateVector:
     return StateVector(grid, m, np.zeros((n, grid.n_nodes)))
+
+
+def state_norms(state: StateVector, block: str) -> tuple[float, float]:
+    """Sup and trapezoid-L2 norm of one block of ``state``, named as in
+    ``BLOCKS``: "minus", "plus" or "total"."""
+    sup, l2 = block_norms(state.data, state.m, state.grid.trapezoid_weights())
+    k = BLOCKS.index(block)
+    return float(sup[k]), float(l2[k])
 
 
 def random_state(grid: Grid, n: int, m: int, seed: int) -> StateVector:

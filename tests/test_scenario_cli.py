@@ -22,6 +22,7 @@ from tests.conftest import assert_same_text
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 S3_TEXT = (SCENARIOS / "s3.cfg").read_text()
+PLANT_TEXT = (SCENARIOS / "plant_demo.cfg").read_text()
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -61,7 +62,7 @@ class TestLoadScenario:
     def test_bundled_plant_demo_valid(self):
         scn = load_scenario(SCENARIOS / "plant_demo.cfg")
         assert scn.dynamics == "plant"
-        assert scn.sigma_entries
+        assert scn.system().sigma
 
     def test_m_equals_n_rejected(self, tmp_path):
         bad = S3_TEXT.replace("system.m = 2", "system.m = 3")
@@ -103,8 +104,10 @@ class TestLoadScenario:
             load_scenario(write_cfg(tmp_path, bad))
         assert any("g.2.2" in v for v in err.value.violations)
 
-    # one line appended to S3 (n = 3): a speed of no component, or an entry
-    # an earlier key already names under another spelling of its index
+    # one line appended to S3 (n = 3, m = 2), or to plant_demo (the same n
+    # and m) for sigma, which needs plant dynamics: an index its section's
+    # rule refuses, an entry an earlier key already names under another
+    # spelling of its index, or a key no section parses
     @pytest.mark.parametrize("line, violation", [
         ("speed.4 = constant:5", "speed.4: component outside 1..3"),
         ("speed.0 = constant:5", "speed.0: component outside 1..3"),
@@ -112,15 +115,48 @@ class TestLoadScenario:
         ("g.02.1 = constant:5", "g.2.1: names the same entry as g.02.1"),
         ("q.01.1 = 7", "q.1.1: names the same entry as q.01.1"),
         ("init.03 = constant:1", "init.3: names the same entry as init.03"),
+        ("q.2.1 = 1", "q.2.1: outside the 1x2 coupling shape"),
+        ("g.1.1 = constant:1", "g.1.1: outside the strictly-lower cascade band"),
+        ("g.2.2 = constant:1", "g.2.2: outside the strictly-lower cascade band"),
+        ("g.2.3 = constant:1", "g.2.3: outside the strictly-lower cascade band"),
+        ("sigma.4.1 = constant:1", "sigma.4.1: outside the 3x3 matrix"),
+        ("init.0 = bump", "init.0: component outside 1..3"),
+        ("init.4 = bump", "init.4: component outside 1..3"),
+        ("speed.x = constant:5", "speed.x: unknown field"),
+        ("g.2 = constant:1", "g.2: unknown field"),
+        ("speed.1.2 = constant:5", "speed.1.2: unknown field"),
+        # a superscript two is a digit to str.isdigit, but int() refuses it
+        ("speed.\u00b2 = constant:5", "speed.\u00b2: unknown field"),
+        ("g..1 = constant:1", "g..1: unknown field"),
     ])
     def test_stray_or_repeated_index_rejected(self, tmp_path, capsys, line, violation):
-        path = write_cfg(tmp_path, S3_TEXT + "\n" + line + "\n")
+        base = PLANT_TEXT if line.startswith("sigma.") else S3_TEXT
+        path = write_cfg(tmp_path, base + "\n" + line + "\n")
         with pytest.raises(ScenarioError) as err:
             load_scenario(path)
         assert err.value.violations == [violation]
         assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "[case] configuration error:", f"[case]   {violation}"]
+
+    # the name is the output directory below --out
+    @pytest.mark.parametrize("name", ["../escaped", "/tmp/escaped", "a/b", "a\\b", ".", "..", ""])
+    def test_name_not_one_path_component_rejected(self, tmp_path, capsys, name):
+        path = write_cfg(tmp_path, S3_TEXT.replace("name = s3", f"name = {name}"))
+        violation = f"name: need one plain path component, got {name!r}"
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.violations == [violation]
+        out = tmp_path / "out"
+        assert main(["synthesize", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "[case] configuration error:", f"[case]   {violation}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.cfg"]
+
+    @pytest.mark.parametrize("name", ["verify_s3", "s3.v2", "..s3"])
+    def test_plain_name_accepted(self, tmp_path, name):
+        path = write_cfg(tmp_path, S3_TEXT.replace("name = s3", f"name = {name}"))
+        assert load_scenario(path).name == name
 
     def test_initial_presets_deterministic(self):
         scn = load_scenario(SCENARIOS / "plant_demo.cfg")
@@ -402,6 +438,22 @@ class TestCliVerify:
         assert lines[len(report)] == "[broken] configuration error:"
         assert len(lines) > len(report) + 1
         assert all(line.startswith("[broken]   ") for line in lines[len(report) + 1:])
+
+    def test_second_file_with_a_taken_name_rejected(self, tmp_path, capsys):
+        # s3_naive under the name s3 would replace s3's 10/10 report with its 9/10
+        text = (SCENARIOS / "s3_naive.cfg").read_text().replace("name = s3_naive", "name = s3")
+        second = write_cfg(tmp_path, text, "b.cfg")
+        first = str(SCENARIOS / "s3.cfg")
+        out = tmp_path / "o"
+        assert main(["verify", first, str(second), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "[s3] configuration error:",
+            f"[s3]   name: 's3' is also the name of {first}, an earlier file of this command"]
+        report = (out / "s3" / "report.txt").read_text()
+        assert report == captured.out
+        assert report.endswith("[s3] 10/10 checks passed\n")
+        assert sorted(p.name for p in out.iterdir()) == ["s3"]
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "system.n = 3\n")
