@@ -1,8 +1,8 @@
 """Digest every deterministic output of the commands on the bundled scenarios.
 
 Runs ``synthesize``, ``simulate`` and ``verify`` on the three bundled
-scenarios, ``sweep`` on s3 and s3_naive over N = 64, 128, 256, and the S3
-study script over N = 32, 64, each writing below ``--out``.  Prints one line
+scenarios, ``sweep`` on them over N = 64, 128, 256, and the S3 study
+script over N = 32, 64, each writing below ``--out``.  Prints one line
 per command (exit code, sha256 of its stdout) and one ``sha256  path`` line
 per output file, paths relative to ``--out``.  Two checkouts that produce the
 same outputs print identical lines, so a refactor that must keep the outputs
@@ -23,7 +23,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = [str(ROOT / "scenarios" / f"{name}.cfg") for name in ("s3", "s3_naive", "plant_demo")]
-SWEPT = BUNDLED[:2]
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -32,7 +31,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ("synthesize", cli + ["synthesize", *BUNDLED, "--out", "synthesize"]),
         ("simulate", cli + ["simulate", *BUNDLED, "--out", "simulate"]),
         ("verify", cli + ["verify", *BUNDLED, "--out", "verify"]),
-        ("sweep", cli + ["sweep", *SWEPT, "--grids", "64,128,256", "--out", "sweep"]),
+        ("sweep", cli + ["sweep", *BUNDLED, "--grids", "64,128,256", "--out", "sweep"]),
         ("study", [sys.executable, str(ROOT / "scripts" / "run_s3_study.py"),
                    "--grids", "32,64", "--out", "study"]),
     ]

@@ -11,9 +11,9 @@ configuration or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +66,11 @@ TOLERANCES = {
 }
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str
-
-    def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
+# one sweep.csv row per grid, in this order; each metric column at an index in
+# SWEEP_ORDERED also gets an order_<name> column, its observed convergence order
+SWEEP_COLUMNS = ("n_cells", "dt", "kernel_gap_max", "kernel_gap_mean",
+                 "commutation_dev", "vanish_time", "vanish_err")
+SWEEP_ORDERED = (2, 3, 4, 6)
 
 
 def _feedback_law(scn: Scenario, grid: Grid) -> FeedbackLaw:
@@ -161,41 +158,33 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
     dt = scn.resolve_dt(grid)
     topt = optimal_time(system, grid)
     tf = naive_time(system, grid)
+    upwind_slack = TOLERANCES["upwind_vanish_slack_frac"] * topt
     # long enough to see settling past both control times, upwind slack included
     t_run = max(scn.t_final, tf + 0.25, 1.3 * topt)
-    checks: list[Check] = []
 
+    # a check is (name, passed, detail)
     lower_sum = sum(transit_time(system.speeds[i], grid) for i in range(system.m - 1))
-    checks.append(
-        Check(
-            "times",
-            topt > 0 and tf >= topt - 1e-12 and abs((tf - topt) - lower_sum) <= 1e-12,
-            f"T_opt={topt!r}, t_F={tf!r}",
-        )
-    )
+    checks = [
+        ("times", topt > 0 and tf >= topt - 1e-12 and abs((tf - topt) - lower_sum) <= 1e-12,
+         f"T_opt={topt!r}, t_F={tf!r}"),
+    ]
 
     kernel = build_kernel(system, g, grid)
     op = IntegralOperator.from_kernel(kernel)
     res = kernel_residual(kernel)
     # np.max, unlike max(), lets a NaN through to FAIL the comparison
     bmax = np.max([(r.boundary_x0_max, r.boundary_y0_max) for r in res.values()], initial=0.0)
-    checks.append(Check("kernel_boundary", bmax <= 1e-12, f"max mismatch {bmax:.3g}"))
     imax = np.max([r.interior_max for r in res.values()], initial=0.0)
     band = g.tabulate(grid.nodes)
     gmax = float(np.max(np.abs(band))) if band.size else 0.0
     itol = TOLERANCES["kernel_interior_coeff"] * grid.dx * max(1.0, gmax)
-    checks.append(
-        Check("kernel_interior", imax <= itol, f"max residual {imax:.3g} (tol {itol:.3g})")
-    )
-
     gap_max, gap_mean = oracle_gap(kernel, kernel_oracle_solve(system, g, grid))
-    checks.append(
-        Check(
-            "kernel_oracle_gap",
-            gap_mean <= TOLERANCES["kernel_gap"],
-            f"mean gap {gap_mean:.3g} (tol {TOLERANCES['kernel_gap']:g}), max gap {gap_max:.3g}",
-        )
-    )
+    checks += [
+        ("kernel_boundary", bmax <= 1e-12, f"max mismatch {bmax:.3g}"),
+        ("kernel_interior", imax <= itol, f"max residual {imax:.3g} (tol {itol:.3g})"),
+        ("kernel_oracle_gap", gap_mean <= TOLERANCES["kernel_gap"],
+         f"mean gap {gap_mean:.3g} (tol {TOLERANCES['kernel_gap']:g}), max gap {gap_max:.3g}"),
+    ]
 
     rng = np.random.default_rng(scn.seed + 1)
     rt_err = tr_err = 0.0
@@ -205,33 +194,26 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
         back = invert_fredholm(op, gam)
         rt_err = np.maximum(rt_err, np.max(np.abs(back.data - z.data)) / z.sup_norm())
         tr_err = np.maximum(tr_err, np.max(np.abs(gam.data[:, 0] - z.data[:, 0])))
-    checks.append(
-        Check("round_trip", rt_err <= TOLERANCES["roundtrip"], f"rel sup error {rt_err:.3g}")
-    )
-    checks.append(Check("trace_preservation", tr_err == 0.0, f"mismatch {tr_err:.3g}"))
-
     id_err = inverse_kernel(op).identity_error(op)
-    checks.append(
-        Check(
-            "inverse_identity",
-            id_err <= TOLERANCES["inverse_identity"],
-            f"sup deviation {id_err:.3g}",
-        )
-    )
+    checks += [
+        ("round_trip", rt_err <= TOLERANCES["roundtrip"], f"rel sup error {rt_err:.3g}"),
+        ("trace_preservation", tr_err == 0.0, f"mismatch {tr_err:.3g}"),
+        ("inverse_identity", id_err <= TOLERANCES["inverse_identity"],
+         f"sup deviation {id_err:.3g}"),
+    ]
 
     z0 = _nonzero_initial(scn, grid)
     dev, z_traj, pair_traj = commutation_check(op, z0, t_run, scn.scheme, dt)
     if scn.scheme == "integer_shift":
         late = z_traj.times >= topt + 2 * z_traj.dt + 1e-12
         tail = float(z_traj.sup_total[late].max()) if np.any(late) else 0.0
-        z_ok = tail <= 1e-12 * z_traj.initial_sup()
-        z_detail = f"sup after T_opt+2dt = {tail:.3g}"
+        checks.append(("z_vanish_by_T_opt", tail <= 1e-12 * z_traj.initial_sup(),
+                       f"sup after T_opt+2dt = {tail:.3g}"))
     else:
         vt = vanish_time(z_traj, TOLERANCES["vanish_rel"])
-        slack = TOLERANCES["upwind_vanish_slack_frac"] * topt
-        z_ok = vt is not None and vt <= topt + slack
-        z_detail = f"vanish_time = {'none' if vt is None else repr(vt)} (limit {topt + slack!r})"
-    checks.append(Check("z_vanish_by_T_opt", z_ok, z_detail))
+        checks.append(("z_vanish_by_T_opt", vt is not None and vt <= topt + upwind_slack,
+                       f"vanish_time = {'none' if vt is None else repr(vt)} "
+                       f"(limit {topt + upwind_slack!r})"))
 
     g_traj = pair_traj
     if scn.feedback_kind != "fredholm":
@@ -240,35 +222,24 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> tuple[int, list[str]]:
             pair_traj.snapshots[0], t_run, grid, scheme=scn.scheme, dt=dt, snapshot_stride=10**9,
         )
     vt = vanish_time(g_traj, TOLERANCES["vanish_rel"])
-    if scn.scheme == "integer_shift":
-        slack = TOLERANCES["vanish_slack_steps"] * g_traj.dt
-    else:
-        slack = TOLERANCES["upwind_vanish_slack_frac"] * topt
-    g_ok = vt is not None and vt <= topt + slack
-    checks.append(
-        Check(
-            "gamma_vanish_by_T_opt",
-            g_ok,
-            f"vanish_time(tol={TOLERANCES['vanish_rel']:g}) = "
-            f"{'none' if vt is None else repr(vt)} (limit {topt + slack!r}, "
-            f"feedback {scn.feedback_kind})",
-        )
-    )
-
+    slack = (TOLERANCES["vanish_slack_steps"] * g_traj.dt if scn.scheme == "integer_shift"
+             else upwind_slack)
     cm_tol = TOLERANCES["commutation_rel"] * pair_traj.initial_sup()
-    checks.append(
-        Check("commutation", dev <= cm_tol, f"max deviation {dev:.3g} (tol {cm_tol:.3g})")
-    )
+    checks += [
+        ("gamma_vanish_by_T_opt", vt is not None and vt <= topt + slack,
+         f"vanish_time(tol={TOLERANCES['vanish_rel']:g}) = {'none' if vt is None else repr(vt)} "
+         f"(limit {topt + slack!r}, feedback {scn.feedback_kind})"),
+        ("commutation", dev <= cm_tol, f"max deviation {dev:.3g} (tol {cm_tol:.3g})"),
+    ]
 
+    n_fail = sum(not passed for _, passed, _ in checks)
     lines = [
         f"[{scn.name}] verify: N={grid.n_cells}, scheme={scn.scheme}, "
         f"dt={'auto' if dt is None else repr(dt)}, t_run={t_run!r}",
+        *(f"[{scn.name}] {'PASS' if passed else 'FAIL'} {name}: {detail}"
+          for name, passed, detail in checks),
+        f"[{scn.name}] {len(checks) - n_fail}/{len(checks)} checks passed",
     ]
-    lines += [f"[{scn.name}] {c.line()}" for c in checks]
-    n_fail = sum(not c.passed for c in checks)
-    lines.append(
-        f"[{scn.name}] {len(checks) - n_fail}/{len(checks)} checks passed"
-    )
 
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
@@ -285,13 +256,13 @@ def _order(prev: float | None, cur: float | None) -> float | None:
 
 
 def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list[str]]:
-    if len(grids) < 2:
-        raise ScenarioError(["sweep: need at least two grid sizes"])
+    system = scn.system()
+    g = scn.cascade()
+    naive = scn.dynamics == "gamma_target" and scn.feedback_kind == "zero" and scn.m >= 2
+    expected_time = naive_time if naive else optimal_time
     rows = []
     for n_cells in grids:
         grid = scn.grid(n_cells)
-        system = scn.system()
-        g = scn.cascade()
         dt = scn.resolve_dt(grid)
         kernel = build_kernel(system, g, grid)
         op = IntegralOperator.from_kernel(kernel)
@@ -306,48 +277,39 @@ def _cmd_sweep(scn: Scenario, outdir: Path, grids: list[int]) -> tuple[int, list
             scheme=scn.scheme, dt=dt, snapshot_stride=10**9,
         )
         vt = vanish_time(traj, TOLERANCES["vanish_rel"])
-        if scn.dynamics == "gamma_target" and scn.feedback_kind == "zero" and scn.m >= 2:
-            expected = naive_time(system, grid)
-        else:
-            expected = optimal_time(system, grid)
-        verr = abs(vt - expected) if vt is not None else None
-        rows.append(
-            {
-                "n_cells": n_cells,
-                "dt": traj.dt,
-                "kernel_gap_max": gap_max,
-                "kernel_gap_mean": gap_mean,
-                "commutation_dev": dev,
-                "vanish_time": vt,
-                "vanish_err": verr,
-            }
-        )
+        verr = abs(vt - expected_time(system, grid)) if vt is not None else None
+        rows.append((n_cells, traj.dt, gap_max, gap_mean, dev, vt, verr))
 
-    columns = ["n_cells", "dt", "kernel_gap_max", "kernel_gap_mean",
-               "commutation_dev", "vanish_time", "vanish_err"]
-    metric_cols = ["kernel_gap_max", "kernel_gap_mean", "commutation_dev", "vanish_err"]
     lines = []
     for k, row in enumerate(rows):
-        values = [row[c] for c in columns]
-        values += [_order(rows[k - 1][c], row[c]) if k else None for c in metric_cols]
+        values = row + tuple(_order(rows[k - 1][c], row[c]) if k else None for c in SWEEP_ORDERED)
         text = format_floats([math.nan if v is None else v for v in values])
         lines.append(",".join("n/a" if v is None else t for v, t in zip(values, text)) + "\n")
     outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "sweep.csv", columns + [f"order_{c}" for c in metric_cols], lines)
+    header = SWEEP_COLUMNS + tuple(f"order_{SWEEP_COLUMNS[c]}" for c in SWEEP_ORDERED)
+    write_csv(outdir / "sweep.csv", header, lines)
 
     lines = [f"[{scn.name}] sweep over N = {grids} written to {outdir / 'sweep.csv'}"]
-    for row in rows:
-        lines.append(
-            f"[{scn.name}]   N={row['n_cells']}: kernel gap max {row['kernel_gap_max']:.3g} "
-            f"/ mean {row['kernel_gap_mean']:.3g}, commutation {row['commutation_dev']:.3g}, "
-            f"vanish {row['vanish_time'] if row['vanish_time'] is not None else 'none'}"
-        )
+    lines += [
+        f"[{scn.name}]   N={n_cells}: kernel gap max {gap_max:.3g} / mean {gap_mean:.3g}, "
+        f"commutation {dev:.3g}, vanish {'none' if vt is None else vt}"
+        for n_cells, _, gap_max, gap_mean, dev, vt, _ in rows
+    ]
     return 0, lines
 
 
-def _run_one(cmd: str, path: str, out_root: Path, grids: list[int] | None,
-             taken: dict[str, str]) -> tuple[int, list[str]]:
-    """Run one file; ``taken`` maps earlier files' names to their paths."""
+_COMMANDS = {
+    "synthesize": (_cmd_synthesize,
+                   "tabulate the transform kernel, its inverse and the feedback trace"),
+    "simulate": (_cmd_simulate, "march the configured closed loop and export the trajectory"),
+    "verify": (_cmd_verify, "run the certification checks; exit 1 on any failure"),
+    "sweep": (_cmd_sweep, "repeat the metrics over several grid sizes"),
+}
+
+
+def _run_one(run, path: str, out_root: Path, taken: dict[str, str]) -> tuple[int, list[str]]:
+    """Run one file through ``run(scn, outdir)``; ``taken`` maps earlier
+    files' names to their paths."""
     name = Path(path).stem
     try:
         scn = load_scenario(path)
@@ -356,13 +318,10 @@ def _run_one(cmd: str, path: str, out_root: Path, grids: list[int] | None,
             raise ScenarioError([f"name: {name!r} is also the name of {taken[name]}, "
                                  f"an earlier file of this command"])
         taken[name] = path
-        if cmd == "sweep":
-            return _cmd_sweep(scn, outdir, grids or [])
-        return {"synthesize": _cmd_synthesize, "simulate": _cmd_simulate,
-                "verify": _cmd_verify}[cmd](scn, outdir)
+        return run(scn, outdir)
     except ScenarioError as exc:
         return 2, [f"[{name}] configuration error:"] + [f"[{name}]   {v}" for v in exc.violations]
-    except (ValueError, CFLError, OSError) as exc:
+    except (ValueError, CFLError, OSError, MemoryError) as exc:
         return 2, [f"[{name}] error: {exc}"]
 
 
@@ -373,35 +332,35 @@ def main(argv: list[str] | None = None) -> int:
         "boundary feedback for coupled hyperbolic transport systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("synthesize", "tabulate the transform kernel, its inverse and the feedback trace"),
-        ("simulate", "march the configured closed loop and export the trajectory"),
-        ("verify", "run the certification checks; exit 1 on any failure"),
-        ("sweep", "repeat the metrics over several grid sizes"),
-    ]:
+    for name, (run, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         p.add_argument("configs", nargs="+", help="scenario file(s)")
         p.add_argument("--out", default="out", help="output directory root")
         p.add_argument("--quiet", action="store_true", help="suppress stdout")
-        if name == "sweep":
+        if run is _cmd_sweep:
             p.add_argument(
                 "--grids", required=True,
                 help="comma-separated cell counts, e.g. 100,200,400",
             )
     args = parser.parse_args(argv)
 
-    grids = None
-    if args.command == "sweep":
+    run = args.run
+    if run is _cmd_sweep:
         try:
             grids = [int(v) for v in args.grids.split(",") if v]
         except ValueError:
             print(f"--grids: expected integers, got {args.grids!r}", file=sys.stderr)
             return 2
+        if len(grids) < 2:
+            print(f"--grids: need at least two grid sizes, got {args.grids!r}", file=sys.stderr)
+            return 2
+        run = functools.partial(_cmd_sweep, grids=grids)
 
     code = 0
     taken: dict[str, str] = {}
     for path in args.configs:
-        rc, lines = _run_one(args.command, path, Path(args.out), grids, taken)
+        rc, lines = _run_one(run, path, Path(args.out), taken)
         code = max(code, rc)
         if not args.quiet:
             stream = sys.stderr if rc == 2 else sys.stdout

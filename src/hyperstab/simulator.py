@@ -170,13 +170,15 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
         if dt <= 0:
             raise ValueError("dt must be positive")
         cells = lam[:, 0] * dt / dx
-        shifts = np.rint(cells).astype(int)
+        rounded = np.rint(cells)
+        # a component that moves nn cells or more is all inflow after one step
+        shifts = np.clip(rounded, -nn, nn).astype(int)
         for i in range(n):
             if float(np.ptp(lam[i])) > 1e-12 * max(1.0, abs(float(lam[i, 0]))):
                 raise ValueError(
                     f"integer_shift needs constant speeds; component {i + 1} varies"
                 )
-            if abs(cells[i] - shifts[i]) > 1e-9 or shifts[i] == 0:
+            if abs(cells[i] - rounded[i]) > 1e-9 or rounded[i] == 0:
                 raise ValueError(
                     f"component {i + 1} moves {cells[i]:g} cells per step; "
                     "integer_shift needs a nonzero whole number"

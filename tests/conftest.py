@@ -204,7 +204,7 @@ def reference_march(spec: ClosedLoopSpec, u0: StateVector, steps: int, grid: Gri
     n, m, nn, dx = system.n, system.m, grid.n_nodes, grid.dx
     lam = system.speed_values(grid.nodes)
     w = grid.trapezoid_weights()
-    shifts = [round(float(lam[i, 0]) * dt / dx) for i in range(n)]
+    shifts = [max(-nn, min(nn, round(float(lam[i, 0]) * dt / dx))) for i in range(n)]
     sig = np.zeros((n, n, nn))
     for (i, j), prof in (system.sigma or {}).items():
         sig[i - 1, j - 1] = prof(grid.nodes)

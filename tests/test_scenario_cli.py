@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -372,6 +373,60 @@ class TestCliSimulate:
                              (tmp_path / "op" / "s3" / name).read_text())
 
 
+# each bundled scenario's verify report; the numbers are masked before the
+# comparison, so these pin the check names, their order, PASS/FAIL and the
+# wording of every detail
+REPORTS = {
+    "s3": """\
+[s3] verify: N=200, scheme=integer_shift, dt=0.005, t_run=3.0
+[s3] PASS times: T_opt=2.0, t_F=2.5
+[s3] PASS kernel_boundary: max mismatch 0
+[s3] PASS kernel_interior: max residual 0 (tol 0.125)
+[s3] PASS kernel_oracle_gap: mean gap 0.00929 (tol 0.05), max gap 0.5
+[s3] PASS round_trip: rel sup error 1.11e-16
+[s3] PASS trace_preservation: mismatch 0
+[s3] PASS inverse_identity: sup deviation 0
+[s3] PASS z_vanish_by_T_opt: sup after T_opt+2dt = 0
+[s3] PASS gamma_vanish_by_T_opt: vanish_time(tol=0.01) = 1.97 (limit 2.025, feedback fredholm)
+[s3] PASS commutation: max deviation 0.005 (tol 0.05)
+[s3] 10/10 checks passed
+""",
+    "s3_naive": """\
+[s3_naive] verify: N=200, scheme=integer_shift, dt=0.005, t_run=3.0
+[s3_naive] PASS times: T_opt=2.0, t_F=2.5
+[s3_naive] PASS kernel_boundary: max mismatch 0
+[s3_naive] PASS kernel_interior: max residual 0 (tol 0.125)
+[s3_naive] PASS kernel_oracle_gap: mean gap 0.00929 (tol 0.05), max gap 0.5
+[s3_naive] PASS round_trip: rel sup error 1.11e-16
+[s3_naive] PASS trace_preservation: mismatch 0
+[s3_naive] PASS inverse_identity: sup deviation 0
+[s3_naive] PASS z_vanish_by_T_opt: sup after T_opt+2dt = 0
+[s3_naive] FAIL gamma_vanish_by_T_opt: vanish_time(tol=0.01) = 2.41 (limit 2.025, feedback zero)
+[s3_naive] PASS commutation: max deviation 0.005 (tol 0.05)
+[s3_naive] 9/10 checks passed
+""",
+    "plant_demo": """\
+[plant_demo] verify: N=128, scheme=upwind, dt=auto, t_run=2.2540774784567055
+[plant_demo] PASS times: T_opt=1.5040774784567055, t_F=2.0040774784567055
+[plant_demo] PASS kernel_boundary: max mismatch 0
+[plant_demo] PASS kernel_interior: max residual 0 (tol 0.195)
+[plant_demo] PASS kernel_oracle_gap: mean gap 0 (tol 0.05), max gap 0
+[plant_demo] PASS round_trip: rel sup error 0
+[plant_demo] PASS trace_preservation: mismatch 0
+[plant_demo] PASS inverse_identity: sup deviation 0
+[plant_demo] PASS z_vanish_by_T_opt: vanish_time = 1.571484375 (limit 1.880096848070882)
+[plant_demo] PASS gamma_vanish_by_T_opt: vanish_time(tol=0.01) = 1.571484375 \
+(limit 1.880096848070882, feedback zero)
+[plant_demo] PASS commutation: max deviation 0 (tol 0.05)
+[plant_demo] 10/10 checks passed
+""",
+}
+
+
+def mask_numbers(text: str) -> str:
+    return re.sub(r"-?\d+(\.\d*)?(e[-+]?\d+)?", "#", text)
+
+
 class TestCliVerify:
     def test_s3_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -381,6 +436,15 @@ class TestCliVerify:
         assert "FAIL" not in text
         report = (out / "s3" / "report.txt").read_text()
         assert "PASS gamma_vanish_by_T_opt" in report
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_report_wording(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        rc = main(["verify", str(SCENARIOS / f"{name}.cfg"), "--out", str(out)])
+        report = (out / name / "report.txt").read_text()
+        assert rc == (1 if " FAIL " in REPORTS[name] else 0)
+        assert report == capsys.readouterr().out
+        assert mask_numbers(report) == mask_numbers(REPORTS[name])
 
     def test_zero_feedback_fails_optimal_vanish(self, tmp_path, capsys):
         cfg = S3_TEXT.replace("feedback = fredholm", "feedback = zero")
@@ -455,6 +519,33 @@ class TestCliVerify:
         assert report.endswith("[s3] 10/10 checks passed\n")
         assert sorted(p.name for p in out.iterdir()) == ["s3"]
 
+    def test_unallocatable_run_exits_2(self, tmp_path, capsys):
+        # 1e12 / dt steps need more memory than any 48-bit address space
+        # holds, so the request is refused without touching memory
+        path = write_cfg(tmp_path, S3_TEXT.replace("t_final = 3.0", "t_final = 1e12"))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("[s3] error: Unable to allocate")
+
+    def test_shift_past_the_grid(self, tmp_path, capsys):
+        # at dt = 150 dx component 1 moves 300 cells per step on 201 nodes
+        paths = [write_cfg(tmp_path, (SCENARIOS / f"{name}.cfg").read_text().replace(
+            "dt = 1*dx", "dt = 150*dx"), f"{name}.cfg") for name in ("s3", "s3_naive")]
+        out = tmp_path / "out"
+        assert main(["simulate", *map(str, paths), "--out", str(out), "--quiet"]) == 0
+        assert main(["verify", str(paths[0]), "--out", str(out)]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
+        assert [line.split(":")[0] for line in fails] == ["[s3] FAIL commutation"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_speed_no_warning(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, S3_TEXT.replace("speed.1 = constant:-2",
+                                                   "speed.1 = constant:-1e300"))
+        assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.endswith("[s3] 10/10 checks passed\n")
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "system.n = 3\n")
         rc = main(["verify", str(path), "--out", str(tmp_path / "out")])
@@ -470,16 +561,38 @@ class TestCliSweep:
         assert rc == 0
         with open(out / "s3" / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][0] == "n_cells"
+        assert ",".join(rows[0]) == (
+            "n_cells,dt,kernel_gap_max,kernel_gap_mean,commutation_dev,vanish_time,vanish_err,"
+            "order_kernel_gap_max,order_kernel_gap_mean,order_commutation_dev,order_vanish_err")
         assert [r[0] for r in rows[1:]] == ["64", "128"]
         by = dict(zip(rows[0], rows[2]))
         assert by["order_kernel_gap_max"] == "n/a"  # jump plateau: no decay
         assert float(by["order_commutation_dev"]) >= 0.8
 
+    def test_plant(self, tmp_path, capsys):
+        # the plant has no cascade: its kernel is empty and the transform is
+        # the identity, so the gaps and the commutation deviation are 0
+        out = tmp_path / "out"
+        assert main(["sweep", str(SCENARIOS / "plant_demo.cfg"), "--out", str(out),
+                     "--grids", "64,128"]) == 0
+        with open(out / "plant_demo" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["n_cells"] for r in rows] == ["64", "128"]
+        for name in ("kernel_gap_max", "kernel_gap_mean", "commutation_dev"):
+            assert [r[name] for r in rows] == ["0", "0"]
+            assert [r[f"order_{name}"] for r in rows] == ["n/a", "n/a"]
+        assert float(rows[1]["order_vanish_err"]) > 0
+
     def test_single_grid_rejected(self, tmp_path, capsys):
-        rc = main(["sweep", str(SCENARIOS / "s3.cfg"), "--out", str(tmp_path / "o"),
-                   "--grids", "64"])
+        # a command-line error: reported once, before any file runs
+        out = tmp_path / "o"
+        rc = main(["sweep", str(SCENARIOS / "s3.cfg"), str(SCENARIOS / "s3_naive.cfg"),
+                   "--out", str(out), "--grids", "64"])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["--grids: need at least two grid sizes, got '64'"]
+        assert not out.exists()
 
     def test_multiple_scenarios_parallel(self, tmp_path, capsys):
         out = tmp_path / "out"

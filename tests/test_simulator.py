@@ -494,6 +494,28 @@ class TestChunkedMarch:
             for got, want in zip(traj.snapshots, ref.snapshots):
                 assert np.array_equal(got.data, want.data)
 
+    @pytest.mark.parametrize("dynamics", ["plant", "gamma_target", "z_target"])
+    def test_shift_past_the_grid_is_all_inflow(self, dynamics):
+        # the first dt moves the fastest component more than N + 1 cells,
+        # the second moves every component N + 1 cells or more; such a
+        # component holds only inflow after one step
+        rng = np.random.default_rng(17)
+        grid = Grid(16)
+        for steps in (1, CHUNK + 1):
+            spec = random_loop(rng, dynamics, "integer_shift", grid)
+            n, m = spec.system.n, spec.system.m
+            fastest = int(np.abs(spec.system.speed_values(grid.nodes)).max())
+            u0 = random_state(grid, n, m, int(rng.integers(1000)))
+            for dt in ((grid.n_nodes // fastest + 1) * grid.dx, grid.n_nodes * grid.dx):
+                ref = reference_march(spec, u0, steps, grid, "integer_shift", dt, 1)
+                traj = simulate(spec, u0, steps * dt, grid, scheme="integer_shift", dt=dt)
+                for name in ("times", "sup", "l2", "snapshot_times"):
+                    assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+                for got, want in zip(traj.snapshots, ref.snapshots):
+                    assert np.array_equal(got.data, want.data)
+            right = traj.snapshots[1].data[m:]
+            assert np.array_equal(right, np.repeat(right[:, :1], grid.n_nodes, axis=1))
+
     def test_subnormal_tail_flushed_at_chunk_ends(self):
         # upwind at Courant number 1/2 with zero inflow halves the cell next
         # to the outflow every step, so the tail decays through the
