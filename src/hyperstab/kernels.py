@@ -203,6 +203,11 @@ def kernel_oracle_solve(
     y cell is subdivided accordingly.  The y = 0 row carries the imposed
     data everywhere, including the (0, 0) corner; for y > 0 the inflow node
     x = 0 is forced to zero.
+
+    The march runs through preallocated temporaries into a buffer of
+    ``_BAND_ROWS`` + 1 y rows and writes ``_BAND_ROWS`` y columns of the
+    C-ordered table per assignment, in place of one strided column per
+    cell; every step keeps its operation order, so the table keeps its bits.
     """
     x = grid.nodes
     dx = grid.dx
@@ -230,19 +235,29 @@ def kernel_oracle_solve(
             )
 
         table = np.empty((grid.n_nodes, grid.n_nodes))
-        row = gij(x) / (-lam_j_nodes[0])  # imposed data at y = 0
-        table[:, 0] = row
-        k = row.copy()
+        table[:, 0] = gij(x) / (-lam_j_nodes[0])  # imposed data at y = 0
+        # row 0 seeds a block of y columns, rows 1.. hold its cell ends;
+        # column 0 of those is the x = 0 inflow, never written
+        rows = np.zeros((_BAND_ROWS + 1, grid.n_nodes))
+        rows[0] = table[:, 0]
+        lam_in, c, diff, src = lam_i[1:], *np.empty((3, grid.n_cells))
         for q in range(grid.n_cells):
+            r = q % _BAND_ROWS + 1
+            k, knew = rows[r - 1], rows[r]
             for s in range(q * nsub, (q + 1) * nsub):
-                c = lam_i / lj[s]
-                knew = np.empty_like(k)
-                knew[1:] = k[1:] - dy * (
-                    c[1:] * (k[1:] - k[:-1]) / dx + dj[s] * k[1:]
-                )
-                knew[0] = 0.0
+                # k - dy (c (k - k_left) / dx + (lambda_j'/lambda_j) k), in place
+                np.divide(lam_in, lj[s], out=c)
+                np.subtract(k[1:], k[:-1], out=diff)
+                np.multiply(c, diff, out=diff)
+                np.divide(diff, dx, out=diff)
+                np.multiply(dj[s], k[1:], out=src)
+                np.add(diff, src, out=diff)
+                np.multiply(dy, diff, out=diff)
+                np.subtract(k[1:], diff, out=knew[1:])
                 k = knew
-            table[:, q + 1] = k
+            if r == _BAND_ROWS or q == grid.n_cells - 1:
+                table[:, q + 2 - r : q + 2] = rows[1 : r + 1].T
+                rows[0] = knew
         out[(i, j)] = table
     return out
 

@@ -102,13 +102,17 @@ class ClosedLoopSpec:
 
 @dataclass
 class Trajectory:
-    """Time stamps, per-stamp norms, and strided snapshots of one run."""
+    """Time stamps, per-stamp norms, and strided snapshots of one run.
+
+    :func:`simulate` records the sup and L2 norms of every stamp; the runs
+    of :func:`commutation_check` record the sup norms only, and ``l2`` is
+    None."""
 
     grid: Grid
     dt: float
     times: np.ndarray  # every stamp
     sup: np.ndarray  # (stamps, 3): minus, plus, total
-    l2: np.ndarray  # (stamps, 3)
+    l2: np.ndarray | None  # (stamps, 3), or None for a sup-only run
     snapshot_times: np.ndarray
     snapshots: list[StateVector]
 
@@ -137,15 +141,17 @@ def simulate(
     step.  Snapshots are kept at t = 0, every ``snapshot_stride`` >= 1 steps
     and at the last step.
     """
-    for traj, _ in _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
+    for traj, _ in _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride, l2=True):
         pass
     return traj
 
 
-def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
+def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride, *, l2: bool):
     """Yield the trajectory :func:`simulate` returns, each time with the
     states it has just recorded: t = 0 as a one-state stack first, then the
     steps one chunk at a time, a view of one buffer the next chunk reuses.
+    With ``l2`` false only the sup norms are taken and ``Trajectory.l2`` is
+    None.
 
     The trajectory is complete when the last chunk is yielded, so a consumer
     that stops there (``zip`` of two marches) still holds the whole run.
@@ -274,16 +280,23 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
     steps = max(0, math.ceil(t_final / dt - 1e-9))
     w = grid.trapezoid_weights()
     times = np.arange(steps + 1) * dt
-    sup, l2 = np.empty((2, steps + 1, 3))
+    sup = np.empty((steps + 1, 3))
+    l2_norms = np.empty((steps + 1, 3)) if l2 else None
     kept = [*range(0, steps, snapshot_stride), steps]
+
+    def record(stamps, norms) -> None:
+        sup[stamps] = norms[0]
+        if l2:
+            l2_norms[stamps] = norms[1]
 
     # slot k steps from slot k - 1 and slot 0 from the last one, which holds
     # the initial state first; zeros, so that no step reads an unwritten slot
     buf = np.zeros((CHUNK, n, nn))
     cur = buf[-1]
     cur[...] = u0.data
-    sup[0], l2[0] = block_norms(cur, m, w)
-    traj = Trajectory(grid, dt, times, sup, l2, times[kept], [StateVector(grid, m, cur.copy())])
+    record(0, block_norms(cur, m, w, l2=l2))
+    traj = Trajectory(grid, dt, times, sup, l2_norms, times[kept],
+                      [StateVector(grid, m, cur.copy())])
     yield traj, cur[None]
 
     march = [bind(buf[k - 1], buf[k]) for k in range(CHUNK)]
@@ -297,9 +310,9 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
             cur = chunk[-1]
             # the carried state holds no subnormal; x * 0.0 keeps the sign of zero
             np.multiply(cur, 0.0, out=cur, where=np.abs(cur) < np.finfo(float).tiny)
-            sup[stamps], l2[stamps] = block_norms(chunk, m, w)
+            record(stamps, block_norms(chunk, m, w, l2=l2))
         else:
-            sup[stamps], l2[stamps] = rest
+            record(stamps, rest)
         for k in kept[bisect_left(kept, stamps.start) : bisect_left(kept, stamps.stop)]:
             traj.snapshots.append(StateVector(grid, m, chunk[k - stamps.start].copy()))
         yield traj, chunk
@@ -309,7 +322,7 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride):
             march[0]()  # the probe is the next chunk's first step: same state, same bits
             if np.array_equal(buf[0].view(np.uint64), cur.view(np.uint64)):
                 buf[:] = cur
-                rest = block_norms(cur, m, w)
+                rest = block_norms(cur, m, w, l2=l2)
 
 
 def vanish_time(traj: Trajectory, tol_rel: float) -> float | None:
@@ -338,16 +351,17 @@ def commutation_check(
     system, cascade and grid come from ``op.kernel``.  The gap is taken on
     each pair of chunks as they are marched, so it isolates how far the
     discrete march is from commuting with the discrete transform and no
-    run holds a state per step: both keep every stamp's norms but
-    snapshots only at t = 0 and the last step.
+    run holds a state per step: both keep every stamp's sup norms, which
+    is all the gap and the vanishing times read, no L2 norms (``l2`` is
+    None), and snapshots only at t = 0 and the last step.
     """
     system, g, grid = op.kernel.system, op.kernel.source, op.kernel.grid
     z_spec = ClosedLoopSpec.z_target(system, build_z_source(g))
     g_spec = ClosedLoopSpec.gamma_target(system, g, FeedbackLaw.fredholm(op))
     dev = 0.0
     for (z_traj, z), (g_traj, gam) in zip(
-        _march(z_spec, z0, t_final, grid, scheme, dt, 10**9),
-        _march(g_spec, apply_fredholm(op, z0), t_final, grid, scheme, dt, 10**9),
+        _march(z_spec, z0, t_final, grid, scheme, dt, 10**9, l2=False),
+        _march(g_spec, apply_fredholm(op, z0), t_final, grid, scheme, dt, 10**9, l2=False),
     ):
         gap = op._apply_data(z)
         np.subtract(gam, gap, out=gap)
@@ -387,7 +401,11 @@ def _texts(table: np.ndarray) -> list[str]:
 def write_norms_csv(traj: Trajectory, path) -> None:
     """Emit ``t,block,sup_norm,l2_norm`` rows for every stamp, formatting
     :data:`NORM_BATCH` stamps' ``t``, sup and L2 triples at a time, each
-    distinct value of a batch once."""
+    distinct value of a batch once.  A run without L2 norms, such as the
+    pair :func:`commutation_check` marches, is rejected with ValueError."""
+    if traj.l2 is None:
+        raise ValueError("trajectory has no L2 norms (a sup-only run); "
+                         "write_norms_csv needs a run from simulate")
 
     def blocks():
         for k in range(0, traj.times.size, NORM_BATCH):

@@ -290,22 +290,35 @@ def naive_time(system: HyperbolicSystem, grid: Grid) -> float:
 BLOCKS = ("minus", "plus", "total")
 
 
-def block_norms(data: np.ndarray, m: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def block_norms(
+    data: np.ndarray, m: int, w: np.ndarray, *, l2: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Sup and trapezoid-L2 norms of each block of one state (n, nodes) or
     of a stack of states (K, n, nodes), ordered as :data:`BLOCKS` along the
     last axis; ``w`` are the quadrature weights along a row.  Each block of
     each state is summed as one contiguous row, so a stack gives the same
-    bits as its states one by one."""
+    bits as its states one by one.  With ``l2`` false only the sup norms
+    are taken, and None stands for the L2 norms.
+
+    An L2 sum that overflows while its block is finite is taken again on
+    the block scaled by its sup s, as s * sqrt(sum(w * (x / s)**2)); every
+    sum that did not overflow keeps its bits."""
     stack = data.reshape(-1, *data.shape[-2:])
     k = len(stack)
     tmp = np.abs(stack)  # one temporary: |data|, then w * data * data
     sup_minus, sup_plus = tmp[:, :m].reshape(k, -1).max(1), tmp[:, m:].reshape(k, -1).max(1)
-    np.multiply(w, stack, out=tmp)
-    tmp *= stack
-    s_minus, s_plus = tmp[:, :m].reshape(k, -1).sum(1), tmp[:, m:].reshape(k, -1).sum(1)
     sup = np.stack([sup_minus, sup_plus, np.maximum(sup_minus, sup_plus)], axis=-1)
-    l2 = np.sqrt(np.stack([s_minus, s_plus, s_minus + s_plus], axis=-1))
-    return sup.reshape(data.shape[:-2] + (3,)), l2.reshape(data.shape[:-2] + (3,))
+    if not l2:
+        return sup.reshape(data.shape[:-2] + (3,)), None
+    with np.errstate(over="ignore"):
+        np.multiply(w, stack, out=tmp)
+        tmp *= stack
+        s_minus, s_plus = tmp[:, :m].reshape(k, -1).sum(1), tmp[:, m:].reshape(k, -1).sum(1)
+        norms = np.sqrt(np.stack([s_minus, s_plus, s_minus + s_plus], axis=-1))
+        for st, b in zip(*np.nonzero(np.isinf(norms) & np.isfinite(sup))):
+            scaled = stack[st, (slice(None, m), slice(m, None), slice(None))[b]] / sup[st, b]
+            norms[st, b] = sup[st, b] * np.sqrt(np.sum(w * scaled**2))
+    return sup.reshape(data.shape[:-2] + (3,)), norms.reshape(data.shape[:-2] + (3,))
 
 
 @dataclass(frozen=True)
@@ -332,5 +345,5 @@ class StateVector:
 
     def sup_norm(self) -> float:
         """Sup norm over every component."""
-        sup, _ = block_norms(self.data, self.m, self.grid.trapezoid_weights())
+        sup, _ = block_norms(self.data, self.m, self.grid.trapezoid_weights(), l2=False)
         return float(sup[BLOCKS.index("total")])

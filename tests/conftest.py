@@ -128,6 +128,44 @@ def reference_kernel_tables(
     }
 
 
+def reference_oracle(
+    system: HyperbolicSystem, g: CascadeMatrix, grid: Grid
+) -> dict[tuple[int, int], np.ndarray]:
+    """``kernel_oracle_solve`` the way it marched before it wrote its table
+    in blocks of y columns: a fresh array per substep, one strided table
+    column per cell.  The step-bound check is left out."""
+    x, dx = grid.nodes, grid.dx
+    out = {}
+    for (i, j) in g.lower_pairs():
+        gij = g.entry(i, j)
+        if gij is None:
+            continue
+        lam_i = system.speeds[i - 1](x)
+        lam_j = system.speeds[j - 1]
+        lam_j_nodes = lam_j(x)
+        nsub = max(1, math.ceil(np.max(np.abs(lam_i)) / np.min(np.abs(lam_j_nodes)) - 1e-12))
+        dy = dx / nsub
+        ys = (x[:-1, None] + np.arange(nsub) * dy).ravel()
+        lj = lam_j(ys)
+        dj = lam_j.derivative(ys) / lj
+        table = np.empty((grid.n_nodes, grid.n_nodes))
+        row = gij(x) / (-lam_j_nodes[0])
+        table[:, 0] = row
+        k = row.copy()
+        for q in range(grid.n_cells):
+            for s in range(q * nsub, (q + 1) * nsub):
+                c = lam_i / lj[s]
+                knew = np.empty_like(k)
+                knew[1:] = k[1:] - dy * (
+                    c[1:] * (k[1:] - k[:-1]) / dx + dj[s] * k[1:]
+                )
+                knew[0] = 0.0
+                k = knew
+            table[:, q + 1] = k
+        out[(i, j)] = table
+    return out
+
+
 def reference_residual(
     system: HyperbolicSystem, g: CascadeMatrix, kernel: FredholmKernel, grid: Grid
 ) -> dict[tuple[int, int], KernelResidual]:

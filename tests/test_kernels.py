@@ -23,6 +23,7 @@ from tests.conftest import (
     assert_same_text,
     csv_reference,
     reference_kernel_tables,
+    reference_oracle,
     reference_residual,
     support_mask,
 )
@@ -174,6 +175,29 @@ class TestOracle:
         g = CascadeMatrix(3, 2, {(2, 1): Profile.constant(1)})
         with pytest.raises(CFLError, match=r"entry \(2,1\): step ratio 10\.000 exceeds 1"):
             kernel_oracle_solve(sys_, g, Grid(8))
+
+    # cell counts below, at and around one and three blocks of y columns
+    @pytest.mark.parametrize("n_cells", [8, 31, 32, 33, 97])
+    @pytest.mark.parametrize("case", ["s3", "affine", "affine_substeps"])
+    def test_matches_column_march_bitwise(self, s3_system, s3_cascade, case, n_cells):
+        if case == "s3":
+            system, g = s3_system, s3_cascade
+        elif case == "affine":
+            system, g = affine_speed_case()
+        else:
+            # |lambda_2| up to 2.5 over |lambda_1| down to 1: three substeps per cell
+            system = HyperbolicSystem(
+                3, 2,
+                (Profile.affine(-1, -0.25), Profile.affine(-2, -0.5), Profile.constant(1)),
+                np.array([[1.0, 1.0]]),
+            )
+            g = CascadeMatrix(3, 2, {(2, 1): sq_profile()})
+        grid = Grid(n_cells)
+        got = kernel_oracle_solve(system, g, grid)
+        want = reference_oracle(system, g, grid)
+        assert got.keys() == want.keys() and want
+        for key, tab in want.items():
+            assert np.array_equal(bits(got[key]), bits(tab))
 
     def test_jump_case_matches_away_from_interface(self, s3_system, s3_cascade):
         # constant coefficient: the kernel jumps across phi_2(x) = phi_1(y);

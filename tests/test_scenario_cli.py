@@ -351,6 +351,17 @@ class TestCliSimulate:
         last = norms[-1].split(",")
         assert float(last[2]) <= 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_source_finite_l2(self, tmp_path):
+        # the state stays finite, but its squares overflow the L2 sums
+        path = write_cfg(tmp_path, S3_TEXT.replace("g.2.1 = constant:1\n",
+                                                   "g.2.1 = constant:1e300\n"), "s3.cfg")
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out), "--quiet"]) == 0
+        norms = (out / "s3" / "norms.csv").read_text()
+        assert "inf" not in norms
+        assert max(float(line.split(",")[3]) for line in norms.splitlines()[1:]) > 1e297
+
     def test_fredholm_law_built_without_kernel(self, tmp_path, monkeypatch):
         # the law compiled from the kernel rows it reads gives the outputs of
         # the law compiled from the whole tabulated kernel and its operator

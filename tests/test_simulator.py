@@ -683,7 +683,7 @@ class TestCommutation:
             for fused, full in ((z_run, z_traj), (g_run, g_traj)):
                 assert np.array_equal(fused.times, full.times)
                 assert np.array_equal(fused.sup, full.sup)
-                assert np.array_equal(fused.l2, full.l2)
+                assert fused.l2 is None
                 assert np.array_equal(fused.snapshots[-1].data, full.snapshots[-1].data)
 
     def test_nan_state_gives_nan_deviation(self, s3_system, s3_cascade):
@@ -727,6 +727,17 @@ class TestTrajectoryOutput:
         assert traj.sup.shape == traj.l2.shape == (traj.times.size, 3)
         assert traj.snapshot_times[0] == 0.0
         assert traj.snapshot_times[-1] == traj.times[-1]
+
+    def test_norms_csv_needs_l2(self, tmp_path, s3_system, s3_cascade):
+        # the commutation pair records sup norms only
+        grid = Grid(16)
+        op = IntegralOperator.from_kernel(build_kernel(s3_system, s3_cascade, grid))
+        _, z_run, g_run = commutation_check(op, random_state(grid, 3, 2, 0), 0.5,
+                                            "integer_shift", grid.dx)
+        for run in (z_run, g_run):
+            with pytest.raises(ValueError, match="no L2 norms"):
+                write_norms_csv(run, tmp_path / "norms.csv")
+        assert not (tmp_path / "norms.csv").exists()
 
     def test_csv_export(self, tmp_path, s3_system, s3_cascade):
         grid = Grid(16)

@@ -255,6 +255,34 @@ class TestGridState:
                                         np.max(np.abs(data))])
             assert np.array_equal(l2, np.sqrt([s_minus, s_plus, s_minus + s_plus]))
 
+    def test_block_norms_rescale_overflowed_sums(self):
+        grid, m = Grid(16), 1
+        w = grid.trapezoid_weights()
+        data = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 3, grid.n_nodes))
+        data[1, 0] *= 1e300  # the minus sum overflows, and the total with it
+        data[2, :m], data[2, m:] = 1.1e154, 0.75e154  # only the total sum overflows
+        data[3, 0, 5] = np.inf  # a state that overflowed itself
+        sup, l2 = block_norms(data, m, w)
+        sup_only = block_norms(data, m, w, l2=False)
+        assert sup_only[1] is None and sup_only[0].tobytes() == sup.tobytes()
+
+        def plain(*blocks):
+            return np.sqrt(sum(np.sum(w * x * x) for x in blocks))
+
+        def rescaled(x, s):
+            return s * np.sqrt(np.sum(w * (x / s) ** 2))
+
+        for k in range(3):
+            minus, plus, both = data[k, :m], data[k, m:], data[k]
+            # the sums that did not overflow keep their bits
+            want = ([plain(minus), plain(plus), plain(minus, plus)] if k == 0 else
+                    [rescaled(minus, sup[k, 0]), plain(plus), rescaled(both, sup[k, 2])]
+                    if k == 1 else
+                    [plain(minus), plain(plus), rescaled(both, sup[k, 2])])
+            assert np.all(np.isfinite(want))
+            assert l2[k].tobytes() == np.array(want).tobytes()
+        assert np.isinf(l2[3, 0]) and np.isinf(l2[3, 2])
+
     def test_state_shape_checked(self):
         grid = Grid(16)
         with pytest.raises(ValueError):
