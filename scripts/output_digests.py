@@ -1,14 +1,14 @@
 """Digest every deterministic output of the commands on the bundled scenarios.
 
 Runs ``synthesize``, ``simulate`` and ``verify`` on the three bundled
-scenarios, ``sweep`` on them over N = 64, 128, 256, and the S3 study
-script over N = 32, 64, each writing below ``--out``.  Prints one line
-per command (exit code, sha256 of its stdout) and one ``sha256  path`` line
-per output file, paths relative to ``--out``.  Two checkouts that produce the
-same outputs print identical lines, so a refactor that must keep the outputs
-byte-identical is checked by diffing this script's output on both.  The
-commands run with BLAS on one thread: the last bits of a matrix product
-depend on the thread count, so the digests would depend on the shell.
+scenarios and ``sweep`` on them over N = 64, 128, 256, each writing below
+``--out``.  Prints one line per command (exit code, sha256 of its stdout)
+and one ``sha256  path`` line per output file, paths relative to ``--out``.
+Two checkouts that produce the same outputs print identical lines, so a
+refactor that must keep the outputs byte-identical is checked by diffing
+this script's output on both.  The commands run with BLAS on one thread:
+the last bits of a matrix product depend on the thread count, so the
+digests would depend on the shell.
 
 Usage:
     python scripts/output_digests.py --out out/digests
@@ -32,8 +32,6 @@ def commands() -> list[tuple[str, list[str]]]:
         ("simulate", cli + ["simulate", *BUNDLED, "--out", "simulate"]),
         ("verify", cli + ["verify", *BUNDLED, "--out", "verify"]),
         ("sweep", cli + ["sweep", *BUNDLED, "--grids", "64,128,256", "--out", "sweep"]),
-        ("study", [sys.executable, str(ROOT / "scripts" / "run_s3_study.py"),
-                   "--grids", "32,64", "--out", "study"]),
     ]
 
 

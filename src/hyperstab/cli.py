@@ -337,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(run=run)
         p.add_argument("configs", nargs="+", help="scenario file(s)")
         p.add_argument("--out", default="out", help="output directory root")
-        p.add_argument("--quiet", action="store_true", help="suppress stdout")
+        p.add_argument("--quiet", action="store_true",
+                       help="suppress stdout; error lines still go to stderr")
         if run is _cmd_sweep:
             p.add_argument(
                 "--grids", required=True,
@@ -355,6 +356,12 @@ def main(argv: list[str] | None = None) -> int:
         if len(grids) < 2:
             print(f"--grids: need at least two grid sizes, got {args.grids!r}", file=sys.stderr)
             return 2
+        try:
+            for n_cells in grids:
+                Grid(n_cells)
+        except (ValueError, MemoryError) as exc:
+            print(f"--grids: {exc}", file=sys.stderr)
+            return 2
         run = functools.partial(_cmd_sweep, grids=grids)
 
     code = 0
@@ -362,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     for path in args.configs:
         rc, lines = _run_one(run, path, Path(args.out), taken)
         code = max(code, rc)
-        if not args.quiet:
+        if rc == 2 or not args.quiet:
             stream = sys.stderr if rc == 2 else sys.stdout
             for line in lines:
                 print(line, file=stream)

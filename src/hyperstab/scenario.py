@@ -334,8 +334,8 @@ def load_scenario(path: str | Path) -> Scenario:
     if feedback_value.startswith("riesz:"):
         feedback_kind = "riesz"
         riesz_path = base / feedback_value.partition(":")[2]
-        if not riesz_path.exists():
-            bad.append(f"feedback: riesz table file {riesz_path} not found")
+        if not riesz_path.is_file():
+            bad.append(f"feedback: riesz table file {riesz_path} not found or not a file")
     else:
         feedback_kind = feedback_value
         if feedback_kind == "riesz":
@@ -368,6 +368,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     seed_given = "init.seed" in kv
     seed = take("init.seed", int, default=0)
+    if seed < 0:
+        bad.append(f"init.seed: must be >= 0, got {seed}")
     stride = take("snapshot.stride", int, default=10)
     if stride is not None and stride < 1:
         bad.append(f"snapshot.stride: must be >= 1, got {stride}")

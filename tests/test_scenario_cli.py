@@ -241,6 +241,22 @@ class TestLoadScenario:
         assert f"line {RIESZ_CELLS + 3}" in capsys.readouterr().err
 
 
+    # a riesz path naming a directory, the scenario's own for an empty path,
+    # is refused at load, so synthesize refuses it as simulate does
+    @pytest.mark.parametrize("target", ["", "tables"])
+    def test_riesz_path_not_a_file_rejected(self, tmp_path, capsys, target):
+        (tmp_path / "tables").mkdir()
+        path = write_cfg(tmp_path, S3_TEXT.replace("feedback = fredholm",
+                                                   f"feedback = riesz:{target}"))
+        violation = f"feedback: riesz table file {tmp_path / target} not found or not a file"
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.violations == [violation]
+        for command in ("synthesize", "simulate"):
+            assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "[case] configuration error:", f"[case]   {violation}"]
+
     def test_run_time_error_one_line_per_violation(self, tmp_path, capsys):
         rows = "\n".join(["0,1,0.5,1.0", "1,1,1.5,1.0", "1,1,0.5,nan"])
         path = riesz_scenario(tmp_path, rows)
@@ -281,6 +297,34 @@ class TestLoadScenario:
         assert f"'{bad}'" in violation
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    # each case replaces ``old`` in the bundled S3 scenario by ``new``
+    @pytest.mark.parametrize("old, new, violations", [
+        ("grid.cells = 200", "grid.cells = 4", ["grid.cells: need at least 8 cells, got 4"]),
+        ("system.n = 3", "system.n = 1",
+         ["system.n: need n >= 2, got 1", "system.m: need 1 <= m <= n-1 = 0, got 2"]),
+        ("dynamics = gamma_target", "dynamics = open_loop",
+         ["dynamics: expected one of ('plant', 'gamma_target', 'z_target'), got 'open_loop'"]),
+        ("scheme = integer_shift", "scheme = lax_wendroff",
+         ["scheme: expected one of ('upwind', 'integer_shift'), got 'lax_wendroff'"]),
+        ("feedback = fredholm", "feedback = volterra",
+         ["feedback: expected one of ('zero', 'riesz', 'fredholm'), got 'volterra'"]),
+        ("grid.cells = 200", "grid.cells = 2.5", ["grid.cells: not an integer ('2.5')"]),
+        ("init.seed = 7", "init.seed = -3", ["init.seed: must be >= 0, got -3"]),
+        ("t_final = 3.0", "t_final = 0", ["t_final: must be positive, got 0.0"]),
+        ("dt = 1*dx", "dt = -1*dx", ["dt: must be positive, got '-1*dx'"]),
+        ("t_final = 3.0\n", "", ["t_final: required field missing"]),
+        ("feedback = fredholm", "feedback = riesz",
+         ["feedback: riesz needs a file, use riesz:<csv path>"]),
+        ("dt = 1*dx", "dt = 1*dy", ["dt: expected a finite number or 'K*dx', got '1*dy'"]),
+        ("init.1 = bump", "init.1 = wave", ["init.1: unknown initial-data form 'wave'"]),
+        ("g.2.1 = constant:1", "g.2.1 = cubic:1", ["g.2.1: unknown profile form 'cubic:1'"]),
+    ])
+    def test_plain_key_violation(self, tmp_path, old, new, violations):
+        assert old in S3_TEXT
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(write_cfg(tmp_path, S3_TEXT.replace(old, new)))
+        assert err.value.violations == violations
 
 
 class TestCliSynthesize:
@@ -563,6 +607,19 @@ class TestCliVerify:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_quiet_keeps_error_lines(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "system.n = 3\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "[case] configuration error:",
+            "[case]   system.m: required field missing",
+            "[case]   dynamics: required field missing",
+            "[case]   grid.cells: required field missing",
+            "[case]   t_final: required field missing",
+        ]
+
 
 class TestCliSweep:
     def test_two_grids(self, tmp_path, capsys):
@@ -594,15 +651,20 @@ class TestCliSweep:
             assert [r[f"order_{name}"] for r in rows] == ["n/a", "n/a"]
         assert float(rows[1]["order_vanish_err"]) > 0
 
-    def test_single_grid_rejected(self, tmp_path, capsys):
-        # a command-line error: reported once, before any file runs
+    # a command-line error: reported once, before any file runs
+    @pytest.mark.parametrize("grids, error", [
+        ("64", "need at least two grid sizes, got '64'"),
+        ("4,64", "grid needs at least 8 cells, got 4"),
+        ("64,-1", "grid needs at least 8 cells, got -1"),
+    ], ids=["one_size", "below_minimum", "negative_last"])
+    def test_single_grid_rejected(self, tmp_path, capsys, grids, error):
         out = tmp_path / "o"
         rc = main(["sweep", str(SCENARIOS / "s3.cfg"), str(SCENARIOS / "s3_naive.cfg"),
-                   "--out", str(out), "--grids", "64"])
+                   "--out", str(out), "--grids", grids])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["--grids: need at least two grid sizes, got '64'"]
+        assert captured.err.splitlines() == [f"--grids: {error}"]
         assert not out.exists()
 
     def test_multiple_scenarios_parallel(self, tmp_path, capsys):
