@@ -344,8 +344,12 @@ def load_scenario(path: str | Path) -> Scenario:
             bad.append(f"feedback: expected one of {_FEEDBACKS}, got {feedback_value!r}")
 
     grid_cells = take("grid.cells", int, required=True)
-    if grid_cells is not None and grid_cells < 8:
-        bad.append(f"grid.cells: need at least 8 cells, got {grid_cells}")
+    grid = None
+    if grid_cells is not None:
+        try:
+            grid = Grid(grid_cells)
+        except ValueError as exc:
+            bad.append(f"grid.cells: {exc}")
     t_final = take("t_final", _number, required=True)
     if t_final is not None and t_final <= 0:
         bad.append(f"t_final: must be positive, got {t_final}")
@@ -406,7 +410,7 @@ def load_scenario(path: str | Path) -> Scenario:
     speeds = tuple(entries["speed"][(i,)] for i in range(1, n + 1))
     system = HyperbolicSystem(n, m, speeds, q, entries["sigma"] or None)
     try:
-        validate_system(system, Grid(grid_cells))
+        validate_system(system, grid)
     except ValueError as exc:
         raise ScenarioError([f"speeds: {line}" for line in str(exc).splitlines()]) from exc
     return Scenario(

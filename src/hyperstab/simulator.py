@@ -12,8 +12,9 @@ current x = 0 trace, sigma unread; (c) boundaries, right-moving components at
 x = 0 from the constant coupling against the freshly transported left trace,
 left-moving components at x = 1 from the feedback evaluated on the current
 snapshot.  Steps write into a ring of :data:`CHUNK` states.  What does not
-change from step to step is built once per run: the zero feedback, and per
-slot every view a step reads or writes and the feedback's state wrapper.  One
+change from step to step is built once per run: the feedback buffer, whose
+rows outside the law's band stay +0.0, and per slot every view a step reads
+or writes and the feedback's state wrapper.  One
 norm pass per chunk records their stamps, and the state carried out of a
 chunk has each subnormal value (below 2.2e-308) multiplied by 0.0, keeping
 its sign and every normal value: a decaying upwind tail would otherwise march
@@ -28,9 +29,10 @@ Trajectories share no mutable state.
 the check marches the z/gamma pair that the transform intertwines in
 lockstep and takes the gap on each pair of chunks as they come, so no state
 of either run is held per step.  The CSV exports stream one snapshot
-component or :data:`NORM_BATCH` stamps per written block; a component row
-whose bits repeat the previous row reuses its text, and each norm batch
-formats each distinct value once.
+component or :data:`NORM_BATCH` stamps per written block.  A component row
+is formatted by one ``%``, and a row whose bits repeat the previous row
+reuses its text; a norm batch formats only the stamps whose norms changed,
+each distinct value once.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 from .kernels import (
     CascadeMatrix,
     CFLError,
+    FLOAT_FIELD,
     build_z_source,
     format_floats,
     write_csv,
@@ -132,6 +135,8 @@ def simulate(
     scheme: str = "upwind",
     dt: float | None = None,
     snapshot_stride: int = 1,
+    *,
+    l2: bool = True,
 ) -> Trajectory:
     """March the closed loop to ``t_final`` and record norms every step.
 
@@ -139,9 +144,10 @@ def simulate(
     step bound; ``integer_shift`` requires a caller-supplied dt under which
     every (necessarily constant) speed moves a whole number of cells per
     step.  Snapshots are kept at t = 0, every ``snapshot_stride`` >= 1 steps
-    and at the last step.
+    and at the last step.  With ``l2`` false only the sup norms are taken
+    and ``Trajectory.l2`` is None, a run :func:`write_norms_csv` rejects.
     """
-    for traj, _ in _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride, l2=True):
+    for traj, _ in _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride, l2=l2):
         pass
     return traj
 
@@ -221,7 +227,8 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride, *, l2: bool):
     dt_lam = dt * np.concatenate([lam[:m, :-1], lam[m:, 1:]])
     diff = np.empty((n, nn - 1))
     lifted = np.empty((n, nn))  # dt times the band on the trace
-    zero = np.zeros(m) if spec.feedback.weights is None else None
+    fb = np.zeros(m)  # the feedback; rows outside the law's band stay +0.0
+    evaluate = None if spec.feedback.weights is None else spec.feedback.evaluate
 
     def bind(cur: np.ndarray, new: np.ndarray):
         """The step from ``cur`` into ``new``, on views of both made here."""
@@ -240,7 +247,8 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride, *, l2: bool):
             inflows = [(new[i, nn + a : -1], i) for i, a in enumerate(shifts[:m]) if a < -1]
 
         def step() -> None:
-            fb = zero if zero is not None else spec.feedback.evaluate(state)
+            if evaluate is not None:
+                evaluate(state, fb)
             if shifts is None:
                 # cur - ((dt lam) diff) / dx, upstream differences of each row
                 np.subtract(up, down, out=diff)
@@ -374,7 +382,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     Each component keeps the bits and ``,x,value`` line tails of the last row
     it formatted; a row with the same bits (signed zeros and NaN payloads
-    included) reuses them, so a run at rest formats its state once.
+    included) reuses them, so a run at rest formats its state once.  A
+    changed row's values are formatted by one ``%`` (:func:`_fields`).
     """
     nodes = format_floats(traj.grid.nodes)
     last: dict[int, tuple[np.ndarray, list[str]]] = {}  # component -> bits, tails
@@ -385,36 +394,51 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                 bits = values.view(np.uint64)
                 if i not in last or not np.array_equal(bits, last[i][0]):
                     last.pop(i, None)  # the old tails go before the new ones are built
-                    last[i] = bits, [f",{x},{v}\n" for x, v in zip(nodes, format_floats(values))]
+                    last[i] = bits, [f",{x},{v}\n" for x, v in zip(nodes, _fields(values))]
                 head = f"{t_text},{i}"
                 yield head + head.join(last[i][1])
 
     write_csv(path, ("t", "component", "x", "value"), blocks())
 
 
+def _fields(values: np.ndarray) -> list[str]:
+    """:func:`format_floats` of a 1-D ``values``, by one ``%`` on a template of
+    :data:`~hyperstab.kernels.FLOAT_FIELD` fields."""
+    return ((FLOAT_FIELD + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]
+
+
 def _texts(table: np.ndarray) -> list[str]:
     """:func:`format_floats` of ``table``, each distinct bit pattern formatted once."""
     keys, inverse = np.unique(table.ravel().view(np.uint64), return_inverse=True)
-    return np.array(format_floats(keys.view(float)), dtype=object)[inverse].tolist()
+    return np.array(_fields(keys.view(float)), dtype=object)[inverse].tolist()
 
 
 def write_norms_csv(traj: Trajectory, path) -> None:
-    """Emit ``t,block,sup_norm,l2_norm`` rows for every stamp, formatting
-    :data:`NORM_BATCH` stamps' ``t``, sup and L2 triples at a time, each
-    distinct value of a batch once.  A run without L2 norms, such as the
-    pair :func:`commutation_check` marches, is rejected with ValueError."""
+    """Emit ``t,block,sup_norm,l2_norm`` rows for every stamp, :data:`NORM_BATCH`
+    stamps per block.  Only the stamps of a batch whose six norms differ
+    bitwise from the stamp before them are formatted, each distinct value
+    once, into three ``,block,sup,l2`` line tails; every stamp's lines are
+    its ``t`` text joined with the tails of the last such stamp.  A run
+    without L2 norms, such as the pair :func:`commutation_check` marches,
+    is rejected with ValueError."""
     if traj.l2 is None:
         raise ValueError("trajectory has no L2 norms (a sup-only run); "
                          "write_norms_csv needs a run from simulate")
+    minus, plus, total = BLOCKS
+    sup, l2 = traj.sup.view(np.uint64), traj.l2.view(np.uint64)
+    new = np.ones(len(sup), dtype=bool)  # the stamps whose norms are formatted
+    new[1:] = np.any(sup[1:] != sup[:-1], axis=1) | np.any(l2[1:] != l2[:-1], axis=1)
 
     def blocks():
+        last = None  # the tails of the stamp before the batch
         for k in range(0, traj.times.size, NORM_BATCH):
-            table = [a[k : k + NORM_BATCH] for a in (traj.times, traj.sup, traj.l2)]
-            cells = _texts(np.column_stack(table))
-            yield "".join(
-                f"{row[0]},{name},{row[1 + b]},{row[4 + b]}\n"
-                for row in zip(*[iter(cells)] * 7)
-                for b, name in enumerate(BLOCKS)
-            )
+            batch = slice(k, k + NORM_BATCH)
+            rows = new[batch]
+            cells = _texts(np.column_stack([traj.sup[batch][rows], traj.l2[batch][rows]]))
+            tails = [last] + [(f",{minus},{a},{d}\n", f",{plus},{b},{e}\n", f",{total},{c},{f}\n")
+                              for a, b, c, d, e, f in zip(*[iter(cells)] * 6)]
+            which = np.cumsum(rows).tolist()
+            yield "".join([t + t.join(tails[w]) for t, w in zip(_fields(traj.times[batch]), which)])
+            last = tails[-1]
 
     write_csv(path, ("t", "block", "sup_norm", "l2_norm"), blocks())

@@ -16,7 +16,9 @@ realizes the optimal vanishing time, is minus the kernel trace at x = 1
 integrated against the inverse-transformed state.  Because the inverse is
 linear, that law is compiled once: its x = 1 rows are back-substituted
 through the transposed block-triangular transform, after which each step
-costs one O(m n N) contraction.  :meth:`FeedbackLaw.fredholm_from_cascade`
+costs one O(m n N) contraction, over only the band of rows that are not
+identically zero (never row 1 of a fredholm law).
+:meth:`FeedbackLaw.fredholm_from_cascade`
 evaluates only the kernel rows that back-substitution reads.  The uncompiled
 route (forward substitution, then the trace integral) lives in the tests as
 the reference the compiled table is checked against.
@@ -173,9 +175,15 @@ class FeedbackLaw:
         U_i = sum_j sum_k weights[i, j, k] u_j(x_k),
 
     with ``weights`` of shape (m, n, nodes) and the trapezoid weights already
-    folded in, so :meth:`evaluate` is one contraction per step.  ``zero``
-    carries no table.  ``riesz`` is loaded node tables f_ij times the
-    trapezoid weights.  ``fredholm`` is compiled once by :meth:`fredholm`.
+    folded in.  ``zero`` carries no table.  ``riesz`` is loaded node tables
+    f_ij times the trapezoid weights.  ``fredholm`` is compiled once by
+    :meth:`fredholm`; under the strictly-lower cascade its first row is zero.
+
+    The rows from the first to the last one that is not identically zero are
+    the law's band, found once here.  Only the band is contracted, by the
+    reduction the whole table's contraction makes for each of its rows, so
+    the bits are the same.  A row outside the band is +0.0 whatever the
+    state, inf and NaN included, where the whole contraction gives NaN.
     """
 
     variant: str
@@ -186,6 +194,10 @@ class FeedbackLaw:
             raise ValueError(f"unknown feedback variant {self.variant!r}")
         if self.variant != "zero" and self.weights is None:
             raise ValueError(f"{self.variant} feedback needs a weight table")
+        rows = [] if self.weights is None else np.flatnonzero(self.weights.any(axis=(1, 2)))
+        band = slice(rows[0], rows[-1] + 1) if len(rows) else None  # None: no row to contract
+        object.__setattr__(self, "_band", band)
+        object.__setattr__(self, "_rows", None if band is None else self.weights[band])
 
     @classmethod
     def zero(cls) -> "FeedbackLaw":
@@ -228,15 +240,22 @@ class FeedbackLaw:
         weighted = {(i, j): eval_kernel(system, g, i, j, rows[i], x, grid) * w for i, j in keys}
         return cls("fredholm", _fredholm_weights(system, grid, weighted))
 
-    def evaluate(self, state: StateVector) -> np.ndarray:
+    def evaluate(self, state: StateVector, out: np.ndarray | None = None) -> np.ndarray:
+        """U on ``state``.  Into ``out``, an (m,) array whose rows outside the
+        band hold zeros, only the band rows are written; a march passes one
+        such buffer every step."""
         if self.weights is None:
-            return np.zeros(state.m)
+            return np.zeros(state.m) if out is None else out
         if state.data.shape[1] != self.weights.shape[2]:
             raise ValueError(
                 f"state grid N={state.grid.n_cells} does not match the feedback "
                 f"table's {self.weights.shape[2] - 1} cells"
             )
-        return np.einsum("ijk,jk->i", self.weights, state.data)
+        if out is None:
+            out = np.zeros(len(self.weights))
+        if self._band is not None:
+            np.einsum("ijk,jk->i", self._rows, state.data, out=out[self._band])
+        return out
 
 
 def _fredholm_weights(

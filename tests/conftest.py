@@ -9,6 +9,7 @@ import pytest
 from hyperstab import (
     CascadeMatrix,
     ClosedLoopSpec,
+    FeedbackLaw,
     FredholmKernel,
     Grid,
     HyperbolicSystem,
@@ -19,7 +20,8 @@ from hyperstab import (
     eval_kernel,
     invert_fredholm,
 )
-from hyperstab.kernels import KernelResidual
+from hyperstab.kernels import KernelResidual, format_floats, write_csv
+from hyperstab.simulator import NORM_BATCH
 from hyperstab.system_model import BLOCKS, block_norms, phi_map
 
 
@@ -82,6 +84,16 @@ def feedback_H(op: IntegralOperator, state: StateVector) -> np.ndarray:
     for (i, j), kw in op.weighted.items():
         out[i - 1] -= kw[-1, :] @ z[j - 1]
     return out
+
+
+def reference_feedback(law: FeedbackLaw, state: StateVector) -> np.ndarray:
+    """``law`` on ``state`` the way ``FeedbackLaw.evaluate`` took it before it
+    contracted only the band of populated rows: one ``einsum`` over the
+    whole (m, n, nodes) table, so a zero row reads the whole state too and a
+    non-finite state makes it NaN.  The zero law is zeros."""
+    if law.weights is None:
+        return np.zeros(state.m)
+    return np.einsum("ijk,jk->i", law.weights, state.data)
 
 
 def reference_profile(kind: str, params, x) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +248,8 @@ def reference_march(spec: ClosedLoopSpec, u0: StateVector, steps: int, grid: Gri
                     scheme: str, dt: float, stride: int) -> Trajectory:
     """The closed loop marched one step at a time, the way ``simulate`` did
     before it marched in chunks: a per-component transport loop, the dense
-    (n, n, nodes) sigma contraction, one norm evaluation per stamp and no
+    (n, n, nodes) sigma contraction, the whole-table feedback contraction of
+    :func:`reference_feedback`, one norm evaluation per stamp and no
     subnormal flush.  Fill, source, q-fill, then the x = 1 overwrite."""
     system = spec.system
     n, m, nn, dx = system.n, system.m, grid.n_nodes, grid.dx
@@ -259,7 +272,7 @@ def reference_march(spec: ClosedLoopSpec, u0: StateVector, steps: int, grid: Gri
     stamps = [norms(cur)]
     snap_times, snaps = [0.0], [StateVector(grid, m, cur.copy())]
     for k in range(1, steps + 1):
-        fb = spec.feedback.evaluate(StateVector(grid, m, cur))
+        fb = reference_feedback(spec.feedback, StateVector(grid, m, cur))
         new = np.empty_like(cur)
         for i in range(n):
             a = abs(shifts[i])
@@ -287,6 +300,45 @@ def reference_march(spec: ClosedLoopSpec, u0: StateVector, steps: int, grid: Gri
             snaps.append(StateVector(grid, m, cur.copy()))
     sup, l2 = (np.array([s[b] for s in stamps]) for b in (0, 1))
     return Trajectory(grid, dt, times, sup, l2, np.asarray(snap_times), snaps)
+
+
+def reference_trajectory_csv(traj: Trajectory, path) -> None:
+    """``write_trajectory_csv`` as it was before it formatted a row by one
+    ``%`` on a template: each changed component row's ``,x,value`` line
+    tails built one f-string at a time and joined with the row's head."""
+    nodes = format_floats(traj.grid.nodes)
+    last: dict[int, tuple[np.ndarray, list[str]]] = {}  # component -> bits, tails
+
+    def blocks():
+        for t_text, snap in zip(format_floats(traj.snapshot_times), traj.snapshots):
+            for i, values in enumerate(snap.data, start=1):
+                bits = values.view(np.uint64)
+                if i not in last or not np.array_equal(bits, last[i][0]):
+                    last.pop(i, None)
+                    last[i] = bits, [f",{x},{v}\n" for x, v in zip(nodes, format_floats(values))]
+                head = f"{t_text},{i}"
+                yield head + head.join(last[i][1])
+
+    write_csv(path, ("t", "component", "x", "value"), blocks())
+
+
+def reference_norms_csv(traj: Trajectory, path) -> None:
+    """``write_norms_csv`` as it was before it formatted only the stamps
+    whose norms changed: every value of each ``NORM_BATCH`` batch, ``t``
+    included, each distinct one once, and one f-string per line."""
+
+    def blocks():
+        for k in range(0, traj.times.size, NORM_BATCH):
+            table = np.column_stack([a[k : k + NORM_BATCH] for a in (traj.times, traj.sup, traj.l2)])
+            keys, inverse = np.unique(table.ravel().view(np.uint64), return_inverse=True)
+            cells = np.array(format_floats(keys.view(float)), dtype=object)[inverse].tolist()
+            yield "".join(
+                f"{row[0]},{name},{row[1 + b]},{row[4 + b]}\n"
+                for row in zip(*[iter(cells)] * 7)
+                for b, name in enumerate(BLOCKS)
+            )
+
+    write_csv(path, ("t", "block", "sup_norm", "l2_norm"), blocks())
 
 
 def assert_same_text(got: str, want: str) -> None:

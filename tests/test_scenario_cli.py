@@ -300,7 +300,7 @@ class TestLoadScenario:
 
     # each case replaces ``old`` in the bundled S3 scenario by ``new``
     @pytest.mark.parametrize("old, new, violations", [
-        ("grid.cells = 200", "grid.cells = 4", ["grid.cells: need at least 8 cells, got 4"]),
+        ("grid.cells = 200", "grid.cells = 4", ["grid.cells: grid needs at least 8 cells, got 4"]),
         ("system.n = 3", "system.n = 1",
          ["system.n: need n >= 2, got 1", "system.m: need 1 <= m <= n-1 = 0, got 2"]),
         ("dynamics = gamma_target", "dynamics = open_loop",
@@ -532,6 +532,19 @@ class TestCliVerify:
         monkeypatch.setattr(simulator, "_march", counted)
         main(["verify", str(SCENARIOS / f"{name}.cfg"), "--out", str(tmp_path), "--quiet"])
         assert calls == marches
+
+    @pytest.mark.parametrize("name", ["s3", "s3_naive"])
+    def test_no_l2_norms_taken(self, tmp_path, monkeypatch, name):
+        # every march verify makes is read through its sup norms alone
+        passes = []
+
+        def counted(*args, real=simulator.block_norms, l2=True):
+            passes.append(l2)
+            return real(*args, l2=l2)
+
+        monkeypatch.setattr(simulator, "block_norms", counted)
+        main(["verify", str(SCENARIOS / f"{name}.cfg"), "--out", str(tmp_path), "--quiet"])
+        assert passes and passes.count(True) == 0
 
     def test_tolerance_key_rejected(self, tmp_path, capsys):
         # verify's tolerances are fixed: a scenario that could loosen them

@@ -29,6 +29,7 @@ from hyperstab import (
     simulate,
     vanish_time,
 )
+from hyperstab.kernels import FLOAT_FIELD, format_floats
 from hyperstab.simulator import CHUNK, Trajectory, write_norms_csv, write_trajectory_csv
 from tests.conftest import (
     SPECIAL_FLOATS,
@@ -37,6 +38,8 @@ from tests.conftest import (
     feedback_H,
     random_state,
     reference_march,
+    reference_norms_csv,
+    reference_trajectory_csv,
     smooth_state,
     state_norms,
     zero_state,
@@ -601,7 +604,7 @@ class TestChunkedMarch:
         calls = []
         evaluate = FeedbackLaw.evaluate
         monkeypatch.setattr(FeedbackLaw, "evaluate",
-                            lambda law, state: calls.append(1) or evaluate(law, state))
+                            lambda law, *args: calls.append(1) or evaluate(law, *args))
         traj = simulate(spec, u0, 6.0, grid, scheme="integer_shift", dt=grid.dx)
         assert traj.sup_total[-1] == 0.0
         assert len(calls) < traj.times.size - 1
@@ -862,6 +865,54 @@ class TestTrajectoryOutput:
         assert_same_text((out / "trajectory.csv").read_text(),
                                 trajectory_reference(traj))
         assert_same_text((out / "norms.csv").read_text(), norms_reference(traj))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_writers_match_references(self, tmp_path_factory, data):
+        # byte for byte against the writers they replaced: runs of repeated
+        # stamps across the edges of the norm batches, component rows that
+        # repeat across snapshots, SPECIAL_FLOATS and any other double
+        values = st.sampled_from((*SPECIAL_FLOATS, 0.0, -1.0, OTHER_NAN)) | st.floats()
+        stamps = data.draw(st.sampled_from((255, 256, 257, 513)))
+        pool = data.draw(st.lists(st.lists(values, min_size=7, max_size=7), min_size=1,
+                                  max_size=3))
+        pool += [[-v if v == 0 else v for v in row] for row in pool]  # zeros' signs flipped
+        length = st.integers(1, 300) | st.sampled_from((255, 256, 257))  # ends at a batch edge
+        runs = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), length),
+                                  min_size=1, max_size=6))
+        rows = itertools.cycle([pool[k] for k, count in runs for _ in range(count)])
+        table = np.array(list(itertools.islice(rows, stamps)))
+        grid = Grid(8)
+        rows = data.draw(st.lists(st.lists(values, min_size=9, max_size=9), min_size=1,
+                                  max_size=3))
+        pick = st.integers(0, len(rows) - 1)
+        picks = data.draw(st.lists(st.tuples(pick, pick, pick), min_size=1, max_size=8))
+        snaps = [StateVector(grid, 1, np.array([rows[k] for k in ks])) for ks in picks]
+        snap_times = np.array(data.draw(st.lists(values, min_size=len(snaps),
+                                                 max_size=len(snaps))))
+        traj = Trajectory(grid, 0.1, table[:, 0], table[:, 1:4], table[:, 4:], snap_times,
+                          snaps)
+        out = tmp_path_factory.mktemp("csv")
+        for write, reference in ((write_trajectory_csv, reference_trajectory_csv),
+                                 (write_norms_csv, reference_norms_csv)):
+            write(traj, out / "new.csv")
+            reference(traj, out / "old.csv")
+            assert_same_text((out / "new.csv").read_text(), (out / "old.csv").read_text())
+
+    @settings(max_examples=30, deadline=None)
+    @given(row=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=9,
+                        max_size=9))
+    def test_template_text_is_format_floats(self, tmp_path_factory, row):
+        # the trajectory writer formats values by one % on FLOAT_FIELD fields,
+        # which print what format_floats prints
+        assert [FLOAT_FIELD % v for v in SPECIAL_FLOATS] == format_floats(SPECIAL_FLOATS)
+        grid = Grid(8)
+        traj = Trajectory(grid, 0.1, None, None, None, np.zeros(1),
+                          [StateVector(grid, 1, np.array([row, row[::-1]]))])
+        path = tmp_path_factory.mktemp("csv") / "trajectory.csv"
+        write_trajectory_csv(traj, path)
+        texts = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
+        assert texts == format_floats([row, row[::-1]])
 
     def test_recorded_norms_match_state_methods(self, s3_system, s3_cascade):
         grid = Grid(16)

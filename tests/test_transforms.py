@@ -21,7 +21,7 @@ from hyperstab import (
     kernel_residual,
 )
 from hyperstab.kernels import _BAND_ROWS, oracle_gap
-from tests.conftest import feedback_H, random_state, zero_state
+from tests.conftest import feedback_H, random_state, reference_feedback, zero_state
 
 
 def s3_operator(s3_system, s3_cascade, n_cells=64) -> IntegralOperator:
@@ -276,6 +276,64 @@ class TestFeedback:
         data[1] = grid.nodes  # u_2(y) = y
         out = law.evaluate(StateVector(grid, 2, data))
         assert abs(out[0] - 1.0 / 3.0) <= grid.dx**2
+
+
+ROW_KINDS = ("zero", "signed_zero", "sparse", "dense")
+
+
+@st.composite
+def banded_laws(draw):
+    """A (m, n, nodes) weight table whose rows are each all +0.0, zeros of
+    random signs, sparse or dense, so that zero rows fall at both ends of
+    the table and between populated ones, and a finite state to apply it to."""
+    m = draw(st.integers(1, 5))
+    n = m + draw(st.integers(1, 3))
+    nodes = draw(st.integers(9, 70) | st.just(1001))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.zeros((m, n, nodes))
+    for row, kind in zip(weights, kinds):
+        if kind == "signed_zero":
+            row[...] = np.where(rng.random(row.shape) < 0.5, -0.0, 0.0)
+        elif kind != "zero":
+            values = rng.standard_normal(row.shape) * 10.0 ** rng.integers(-8, 8, row.shape)
+            keep = rng.random(row.shape) < (0.05 if kind == "sparse" else 0.9)
+            row[...] = np.where(keep, values, np.where(rng.random(row.shape) < 0.5, -0.0, 0.0))
+    data = rng.standard_normal((n, nodes)) * 10.0 ** rng.integers(-100, 100, (n, nodes))
+    data[rng.random(data.shape) < 0.1] = -0.0
+    return FeedbackLaw("riesz", weights), StateVector(Grid(nodes - 1), m, data)
+
+
+@given(case=banded_laws())
+@settings(max_examples=60, deadline=None)
+def test_band_contraction_keeps_bits(case):
+    # evaluate gives the whole-table contraction bit for bit on a finite
+    # state, signed zeros included, and writes the same bits into the buffer
+    # a march passes it, whose rows outside the band it leaves at +0.0
+    law, state = case
+    want = reference_feedback(law, state).view(np.uint64)
+    assert np.array_equal(law.evaluate(state).view(np.uint64), want)
+    out = np.zeros(state.m)
+    assert law.evaluate(state, out) is out
+    assert np.array_equal(out.view(np.uint64), want)
+
+
+def test_band_contraction_on_non_finite_state():
+    # a row outside the band is +0.0 whatever the state, where the whole-table
+    # contraction gives NaN (0 * inf); every row of the band, the zero row
+    # between populated ones included, is contracted and turns NaN as before
+    grid = Grid(8)
+    weights = np.zeros((4, 2, grid.n_nodes))
+    weights[1, 0, 3] = weights[3, 1, 5] = 1.0
+    law = FeedbackLaw("riesz", weights)
+    for bad in (np.inf, -np.inf, np.nan):
+        data = np.ones((2, grid.n_nodes))
+        data[0, 0] = bad
+        state = StateVector(grid, 1, data)
+        out = law.evaluate(state)
+        assert out[0] == 0.0 and not np.signbit(out[0])
+        assert np.isnan(out[1:]).all()
+        assert np.isnan(reference_feedback(law, state)).all()
 
 
 @st.composite
