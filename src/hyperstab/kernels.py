@@ -340,11 +340,6 @@ def format_floats(values) -> list[str]:
     return list(map("{:.17g}".format, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-# The text of format_floats as a %-field, for a template that formats a
-# whole row in one operation.
-FLOAT_FIELD = "%.17g"
-
-
 def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[str]) -> None:
     """Write ``header``, then each block of finished ``\\n``-ended lines.
 

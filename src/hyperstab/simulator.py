@@ -12,9 +12,8 @@ current x = 0 trace, sigma unread; (c) boundaries, right-moving components at
 x = 0 from the constant coupling against the freshly transported left trace,
 left-moving components at x = 1 from the feedback evaluated on the current
 snapshot.  Steps write into a ring of :data:`CHUNK` states.  What does not
-change from step to step is built once per run: the feedback buffer, whose
-rows outside the law's band stay +0.0, and per slot every view a step reads
-or writes and the feedback's state wrapper.  One
+change from step to step is built once per run: the zero feedback, and per
+slot every view a step reads or writes and the feedback's state wrapper.  One
 norm pass per chunk records their stamps, and the state carried out of a
 chunk has each subnormal value (below 2.2e-308) multiplied by 0.0, keeping
 its sign and every normal value: a decaying upwind tail would otherwise march
@@ -30,9 +29,8 @@ the check marches the z/gamma pair that the transform intertwines in
 lockstep and takes the gap on each pair of chunks as they come, so no state
 of either run is held per step.  The CSV exports stream one snapshot
 component or :data:`NORM_BATCH` stamps per written block.  A component row
-is formatted by one ``%``, and a row whose bits repeat the previous row
-reuses its text; a norm batch formats only the stamps whose norms changed,
-each distinct value once.
+whose bits repeat the previous row reuses its text; a norm batch formats
+only the stamps whose norms changed, each distinct value once.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ import numpy as np
 from .kernels import (
     CascadeMatrix,
     CFLError,
-    FLOAT_FIELD,
     build_z_source,
     format_floats,
     write_csv,
@@ -227,8 +224,7 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride, *, l2: bool):
     dt_lam = dt * np.concatenate([lam[:m, :-1], lam[m:, 1:]])
     diff = np.empty((n, nn - 1))
     lifted = np.empty((n, nn))  # dt times the band on the trace
-    fb = np.zeros(m)  # the feedback; rows outside the law's band stay +0.0
-    evaluate = None if spec.feedback.weights is None else spec.feedback.evaluate
+    zero = np.zeros(m) if spec.feedback.weights is None else None
 
     def bind(cur: np.ndarray, new: np.ndarray):
         """The step from ``cur`` into ``new``, on views of both made here."""
@@ -247,8 +243,7 @@ def _march(spec, u0, t_final, grid, scheme, dt, snapshot_stride, *, l2: bool):
             inflows = [(new[i, nn + a : -1], i) for i, a in enumerate(shifts[:m]) if a < -1]
 
         def step() -> None:
-            if evaluate is not None:
-                evaluate(state, fb)
+            fb = zero if zero is not None else spec.feedback.evaluate(state)
             if shifts is None:
                 # cur - ((dt lam) diff) / dx, upstream differences of each row
                 np.subtract(up, down, out=diff)
@@ -382,8 +377,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     Each component keeps the bits and ``,x,value`` line tails of the last row
     it formatted; a row with the same bits (signed zeros and NaN payloads
-    included) reuses them, so a run at rest formats its state once.  A
-    changed row's values are formatted by one ``%`` (:func:`_fields`).
+    included) reuses them, so a run at rest formats its state once.
     """
     nodes = format_floats(traj.grid.nodes)
     last: dict[int, tuple[np.ndarray, list[str]]] = {}  # component -> bits, tails
@@ -394,23 +388,17 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                 bits = values.view(np.uint64)
                 if i not in last or not np.array_equal(bits, last[i][0]):
                     last.pop(i, None)  # the old tails go before the new ones are built
-                    last[i] = bits, [f",{x},{v}\n" for x, v in zip(nodes, _fields(values))]
+                    last[i] = bits, [f",{x},{v}\n" for x, v in zip(nodes, format_floats(values))]
                 head = f"{t_text},{i}"
                 yield head + head.join(last[i][1])
 
     write_csv(path, ("t", "component", "x", "value"), blocks())
 
 
-def _fields(values: np.ndarray) -> list[str]:
-    """:func:`format_floats` of a 1-D ``values``, by one ``%`` on a template of
-    :data:`~hyperstab.kernels.FLOAT_FIELD` fields."""
-    return ((FLOAT_FIELD + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]
-
-
 def _texts(table: np.ndarray) -> list[str]:
     """:func:`format_floats` of ``table``, each distinct bit pattern formatted once."""
     keys, inverse = np.unique(table.ravel().view(np.uint64), return_inverse=True)
-    return np.array(_fields(keys.view(float)), dtype=object)[inverse].tolist()
+    return np.array(format_floats(keys.view(float)), dtype=object)[inverse].tolist()
 
 
 def write_norms_csv(traj: Trajectory, path) -> None:
@@ -438,7 +426,8 @@ def write_norms_csv(traj: Trajectory, path) -> None:
             tails = [last] + [(f",{minus},{a},{d}\n", f",{plus},{b},{e}\n", f",{total},{c},{f}\n")
                               for a, b, c, d, e, f in zip(*[iter(cells)] * 6)]
             which = np.cumsum(rows).tolist()
-            yield "".join([t + t.join(tails[w]) for t, w in zip(_fields(traj.times[batch]), which)])
+            times = format_floats(traj.times[batch])
+            yield "".join([t + t.join(tails[w]) for t, w in zip(times, which)])
             last = tails[-1]
 
     write_csv(path, ("t", "block", "sup_norm", "l2_norm"), blocks())

@@ -240,19 +240,15 @@ class FeedbackLaw:
         weighted = {(i, j): eval_kernel(system, g, i, j, rows[i], x, grid) * w for i, j in keys}
         return cls("fredholm", _fredholm_weights(system, grid, weighted))
 
-    def evaluate(self, state: StateVector, out: np.ndarray | None = None) -> np.ndarray:
-        """U on ``state``.  Into ``out``, an (m,) array whose rows outside the
-        band hold zeros, only the band rows are written; a march passes one
-        such buffer every step."""
+    def evaluate(self, state: StateVector) -> np.ndarray:
         if self.weights is None:
-            return np.zeros(state.m) if out is None else out
+            return np.zeros(state.m)
         if state.data.shape[1] != self.weights.shape[2]:
             raise ValueError(
                 f"state grid N={state.grid.n_cells} does not match the feedback "
                 f"table's {self.weights.shape[2] - 1} cells"
             )
-        if out is None:
-            out = np.zeros(len(self.weights))
+        out = np.zeros(len(self.weights))
         if self._band is not None:
             np.einsum("ijk,jk->i", self._rows, state.data, out=out[self._band])
         return out

@@ -29,7 +29,6 @@ from hyperstab import (
     simulate,
     vanish_time,
 )
-from hyperstab.kernels import FLOAT_FIELD, format_floats
 from hyperstab.simulator import CHUNK, Trajectory, write_norms_csv, write_trajectory_csv
 from tests.conftest import (
     SPECIAL_FLOATS,
@@ -604,7 +603,7 @@ class TestChunkedMarch:
         calls = []
         evaluate = FeedbackLaw.evaluate
         monkeypatch.setattr(FeedbackLaw, "evaluate",
-                            lambda law, *args: calls.append(1) or evaluate(law, *args))
+                            lambda law, state: calls.append(1) or evaluate(law, state))
         traj = simulate(spec, u0, 6.0, grid, scheme="integer_shift", dt=grid.dx)
         assert traj.sup_total[-1] == 0.0
         assert len(calls) < traj.times.size - 1
@@ -898,21 +897,6 @@ class TestTrajectoryOutput:
             write(traj, out / "new.csv")
             reference(traj, out / "old.csv")
             assert_same_text((out / "new.csv").read_text(), (out / "old.csv").read_text())
-
-    @settings(max_examples=30, deadline=None)
-    @given(row=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=9,
-                        max_size=9))
-    def test_template_text_is_format_floats(self, tmp_path_factory, row):
-        # the trajectory writer formats values by one % on FLOAT_FIELD fields,
-        # which print what format_floats prints
-        assert [FLOAT_FIELD % v for v in SPECIAL_FLOATS] == format_floats(SPECIAL_FLOATS)
-        grid = Grid(8)
-        traj = Trajectory(grid, 0.1, None, None, None, np.zeros(1),
-                          [StateVector(grid, 1, np.array([row, row[::-1]]))])
-        path = tmp_path_factory.mktemp("csv") / "trajectory.csv"
-        write_trajectory_csv(traj, path)
-        texts = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
-        assert texts == format_floats([row, row[::-1]])
 
     def test_recorded_norms_match_state_methods(self, s3_system, s3_cascade):
         grid = Grid(16)

@@ -308,14 +308,10 @@ def banded_laws(draw):
 @settings(max_examples=60, deadline=None)
 def test_band_contraction_keeps_bits(case):
     # evaluate gives the whole-table contraction bit for bit on a finite
-    # state, signed zeros included, and writes the same bits into the buffer
-    # a march passes it, whose rows outside the band it leaves at +0.0
+    # state, signed zeros included
     law, state = case
     want = reference_feedback(law, state).view(np.uint64)
     assert np.array_equal(law.evaluate(state).view(np.uint64), want)
-    out = np.zeros(state.m)
-    assert law.evaluate(state, out) is out
-    assert np.array_equal(out.view(np.uint64), want)
 
 
 def test_band_contraction_on_non_finite_state():
