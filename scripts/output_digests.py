@@ -1,8 +1,9 @@
 """Digest every deterministic output of the commands on the bundled scenarios.
 
-Runs ``synthesize``, ``simulate`` and ``verify`` on the three bundled
-scenarios and ``sweep`` on them over N = 64, 128, 256, each writing below
-``--out``.  Prints one line per command (exit code, sha256 of its stdout)
+Runs ``synthesize``, ``simulate`` and ``verify`` on the S3 scenarios
+(``s3``, ``s3_naive``, ``plant_demo``) and ``sweep`` on them over
+N = 64, 128, 256, then the same four commands on ``cascade4`` alone, each
+writing below ``--out``.  Prints one line per command (exit code, sha256 of its stdout)
 and one ``sha256  path`` line per output file, paths relative to ``--out``.
 Two checkouts that produce the same outputs print identical lines, so a
 refactor that must keep the outputs byte-identical is checked by diffing
@@ -23,16 +24,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = [str(ROOT / "scenarios" / f"{name}.cfg") for name in ("s3", "s3_naive", "plant_demo")]
+# run by separate commands, so the S3 scenarios' stdout digests do not depend on it
+CASCADE4 = [str(ROOT / "scenarios" / "cascade4.cfg")]
 
 
 def commands() -> list[tuple[str, list[str]]]:
     cli = [sys.executable, "-m", "hyperstab"]
-    return [
-        ("synthesize", cli + ["synthesize", *BUNDLED, "--out", "synthesize"]),
-        ("simulate", cli + ["simulate", *BUNDLED, "--out", "simulate"]),
-        ("verify", cli + ["verify", *BUNDLED, "--out", "verify"]),
-        ("sweep", cli + ["sweep", *BUNDLED, "--grids", "64,128,256", "--out", "sweep"]),
-    ]
+    out = []
+    for files, suffix in ((BUNDLED, ""), (CASCADE4, " cascade4")):
+        out += [
+            ("synthesize" + suffix, cli + ["synthesize", *files, "--out", "synthesize"]),
+            ("simulate" + suffix, cli + ["simulate", *files, "--out", "simulate"]),
+            ("verify" + suffix, cli + ["verify", *files, "--out", "verify"]),
+            ("sweep" + suffix, cli + ["sweep", *files, "--grids", "64,128,256", "--out", "sweep"]),
+        ]
+    return out
 
 
 def sha256(data: bytes) -> str:

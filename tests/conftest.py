@@ -354,6 +354,24 @@ def assert_same_text(got: str, want: str) -> None:
 SPECIAL_FLOATS = (-0.0, 5e-324, 0.1, 1 / 3, -2.5e17, 1.0, math.nan, math.inf)
 
 
+def reference_format_floats(values) -> list[str]:
+    """``format_floats`` as it was before it formatted each run of equal bits
+    once: every value formatted."""
+    return list(map("{:.17g}".format, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def reference_kernel_rows(tables, grid: Grid, x_rows: slice = slice(None)) -> str:
+    """``kernel_rows`` text as it was before that: one ``i,j,x,y,value``
+    line per value, every value formatted by :func:`reference_format_floats`."""
+    nodes = reference_format_floats(grid.nodes)
+    return "".join(
+        f"{i},{j},{nodes[p]},{y},{v}\n"
+        for (i, j) in sorted(tables)
+        for p in range(grid.n_nodes)[x_rows]
+        for y, v in zip(nodes, reference_format_floats(tables[(i, j)][p]))
+    )
+
+
 def csv_reference(header, rows) -> str:
     """Expected file text: ``csv.writer`` rows with floats as ``%.17g``."""
     buf = io.StringIO()

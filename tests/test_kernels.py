@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +18,19 @@ from hyperstab import (
     kernel_oracle_solve,
     kernel_residual,
 )
-from hyperstab.kernels import _BAND_ROWS, oracle_gap, write_kernel_tables_csv
+from hyperstab.kernels import (
+    _BAND_ROWS,
+    format_floats,
+    kernel_rows,
+    oracle_gap,
+    write_kernel_tables_csv,
+)
 from tests.conftest import (
     SPECIAL_FLOATS,
     assert_same_text,
     csv_reference,
+    reference_format_floats,
+    reference_kernel_rows,
     reference_kernel_tables,
     reference_oracle,
     reference_residual,
@@ -333,6 +342,85 @@ def test_csv_text_format(tmp_path):
         for q, y in enumerate(grid.nodes)
     ]
     assert_same_text(path.read_text(), csv_reference(["i", "j", "x", "y", "value"], rows))
+
+
+# NaNs that differ only in their bits: quiet, negative, signalling, with a payload
+NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000ABC)
+# bit patterns whose neighbours a run must not absorb: signed zeros, both
+# infinities, the smallest and the largest subnormal, and the NaNs above
+EDGE_BITS = tuple(bits(SPECIAL_FLOATS + (0.0, -math.inf, -5e-324, 2.2250738585072009e-308)).tolist()) + NAN_BITS
+RUNS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(EDGE_BITS), st.floats().map(lambda v: int(bits(v)))),
+        st.integers(1, 6),
+    ),
+    max_size=40,
+)
+
+
+def run_array(runs) -> np.ndarray:
+    """The float64 values of ``runs``, each (bit pattern, length) repeated."""
+    patterns, lengths = zip(*runs) if runs else ((), ())
+    return np.repeat(np.array(patterns, dtype=np.uint64), lengths).view(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=RUNS, cols=st.integers(1, 5))
+def test_format_floats_matches_reference(runs, cols):
+    flat = run_array(runs)
+    table = flat[: flat.size - flat.size % cols].reshape(-1, cols)
+    for values in (flat, table, table.T):  # the transpose is not contiguous
+        assert format_floats(values) == reference_format_floats(values)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0.0, -0.0, -0.0, 0.0, 0.0]),
+    np.array(NAN_BITS, dtype=np.uint64).repeat(2).view(float),
+    np.array([math.inf, math.inf, -math.inf, 5e-324, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    np.float64(-0.0),
+    np.array(1 / 3),
+    np.array([]),
+    np.empty((0, 3)),
+    np.full(7, 0.1),
+    np.full((3, 4), -0.0),
+], ids=["signed-zeros", "nan-payloads", "inf-subnormal", "scalar", "0-d", "empty", "empty-2d",
+        "one-run", "one-run-2d"])
+def test_format_floats_edge_cases(values):
+    assert format_floats(values) == reference_format_floats(values)
+
+
+def export_case(name, s3_system, s3_cascade):
+    """(tables, grid) of one kernel export case."""
+    if name == "s3":
+        grid = Grid(200)
+        return build_kernel(s3_system, s3_cascade, grid).tables, grid
+    if name == "affine-poly":  # mostly distinct values
+        grid = Grid(200)
+        system = HyperbolicSystem(
+            3, 2, (Profile.affine(-2, -0.5), Profile.affine(-1, 0.25), Profile.constant(1)),
+            np.array([[1.0, 1.0]]),
+        )
+        g = CascadeMatrix(3, 2, {(2, 1): Profile.poly(1, 0.3, -0.2), (3, 1): Profile.constant(1),
+                                 (3, 2): Profile.constant(1)})
+        return build_kernel(system, g, grid).tables, grid
+    grid = Grid(8)
+    if name == "empty":
+        return {}, grid
+    lengths = np.arange(1, len(EDGE_BITS) + 1)
+    cells = np.repeat(np.array(EDGE_BITS, dtype=np.uint64), lengths)[: grid.n_nodes**2]
+    special = cells.view(float).reshape(grid.n_nodes, grid.n_nodes)
+    return {(3, 1): special, (2, 1): special.T}, grid
+
+
+@pytest.mark.parametrize("name", ["s3", "affine-poly", "special", "empty"])
+def test_kernel_export_matches_reference(tmp_path, name, s3_system, s3_cascade):
+    tables, grid = export_case(name, s3_system, s3_cascade)
+    path = tmp_path / "kernel.csv"
+    write_kernel_tables_csv(tables, grid, path)
+    assert_same_text(path.read_bytes().decode("ascii"),
+                     "i,j,x,y,value\n" + reference_kernel_rows(tables, grid))
+    assert_same_text("".join(kernel_rows(tables, grid, slice(-1, None))),
+                     reference_kernel_rows(tables, grid, slice(-1, None)))
 
 
 def test_oracle_gap(s3_system, s3_cascade):
