@@ -3,8 +3,9 @@
 Runs ``synthesize``, ``simulate`` and ``verify`` on the S3 scenarios
 (``s3``, ``s3_naive``, ``plant_demo``) and ``sweep`` on them over
 N = 64, 128, 256, then the same four commands on ``cascade4`` alone, each
-writing below ``--out``.  Prints one line per command (exit code, sha256 of its stdout)
-and one ``sha256  path`` line per output file, paths relative to ``--out``.
+writing below ``--out``.  Prints one line per command (exit code, sha256 of
+its stdout) and one ``sha256  path`` line per output file, paths relative
+to ``--out``.
 Two checkouts that produce the same outputs print identical lines, so a
 refactor that must keep the outputs byte-identical is checked by diffing
 this script's output on both.  The commands run with BLAS on one thread:

@@ -361,8 +361,9 @@ def reference_format_floats(values) -> list[str]:
 
 
 def reference_kernel_rows(tables, grid: Grid, x_rows: slice = slice(None)) -> str:
-    """``kernel_rows`` text as it was before that: one ``i,j,x,y,value``
-    line per value, every value formatted by :func:`reference_format_floats`."""
+    """``kernel_rows`` text as it was before ``format_floats`` formatted each
+    run once: one ``i,j,x,y,value`` line per value, every value formatted by
+    :func:`reference_format_floats`."""
     nodes = reference_format_floats(grid.nodes)
     return "".join(
         f"{i},{j},{nodes[p]},{y},{v}\n"

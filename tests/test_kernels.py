@@ -348,7 +348,9 @@ def test_csv_text_format(tmp_path):
 NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000ABC)
 # bit patterns whose neighbours a run must not absorb: signed zeros, both
 # infinities, the smallest and the largest subnormal, and the NaNs above
-EDGE_BITS = tuple(bits(SPECIAL_FLOATS + (0.0, -math.inf, -5e-324, 2.2250738585072009e-308)).tolist()) + NAN_BITS
+EDGE_BITS = tuple(
+    bits(SPECIAL_FLOATS + (0.0, -math.inf, -5e-324, 2.2250738585072009e-308)).tolist()
+) + NAN_BITS
 RUNS = st.lists(
     st.tuples(
         st.one_of(st.sampled_from(EDGE_BITS), st.floats().map(lambda v: int(bits(v)))),
@@ -406,9 +408,9 @@ def export_case(name, s3_system, s3_cascade):
     grid = Grid(8)
     if name == "empty":
         return {}, grid
-    lengths = np.arange(1, len(EDGE_BITS) + 1)
-    cells = np.repeat(np.array(EDGE_BITS, dtype=np.uint64), lengths)[: grid.n_nodes**2]
-    special = cells.view(float).reshape(grid.n_nodes, grid.n_nodes)
+    # every edge pattern in runs of 1 to 4, the NaNs side by side, tiled to fill the table
+    runs = np.repeat(np.array(EDGE_BITS, dtype=np.uint64), np.arange(len(EDGE_BITS)) % 4 + 1)
+    special = np.resize(runs, (grid.n_nodes, grid.n_nodes)).view(float)
     return {(3, 1): special, (2, 1): special.T}, grid
 
 
